@@ -27,6 +27,7 @@ from .fundseq import (
     F_witness,
     G_witness,
     StepTrace,
+    Trace,
     a_seq,
     descend,
     fs_bracket,

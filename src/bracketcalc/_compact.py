@@ -126,33 +126,6 @@ def _mk(items: list) -> CW:
     return CW(tuple(out)) if out else EMPTY
 
 
-def items_append_merged(out: list, it: Item):
-    if out and out[-1].is_run and it.is_run and out[-1].child is it.child:
-        out[-1] = Item(True, it.child, out[-1].count + it.count)
-    else:
-        out.append(it)
-
-
-def entry_run(content: CW, count: int) -> Item:
-    return Item(True, content, count)
-
-
-def cw_concat(a: CW, b: CW) -> CW:
-    if not a.items:
-        return b
-    if not b.items:
-        return a
-    return _mk(list(a.items) + list(b.items))
-
-
-def cw_rep(seq: CW, count: int) -> CW:
-    if count == 0 or not seq.items:
-        return EMPTY
-    if count == 1:
-        return seq
-    return _mk([Item(False, seq, count)])
-
-
 # --- conversion --------------------------------------------------------------
 
 
@@ -162,21 +135,14 @@ def from_bracket(w: BracketWorm, _interned=None) -> CW:
     cached = _interned.get(w)
     if cached is not None:
         return cached
-    items: list = []
-    for e in w.entries:
-        items_append_merged(items, entry_run(from_bracket(e, _interned), 1))
-    out = _mk(items)
+    out = _mk([Item(True, from_bracket(e, _interned), 1) for e in w.entries])
     _interned[w] = out
     return out
 
 
 def to_bracket(cw: CW, limit: int = 1 << 20):
     """Materialize as a plain worm, or None when it exceeds `limit` entries."""
-
-    def total(c: CW) -> int:
-        return c.length
-
-    if total(cw) > limit:
+    if cw.length > limit:
         return None
     memo: dict = {}
 
@@ -202,34 +168,31 @@ def to_bracket(cw: CW, limit: int = 1 << 20):
 # --- head operations ----------------------------------------------------------
 
 
-def head_content(cw: CW) -> CW:
-    it = cw.items[0]
-    return it.child if it.is_run else head_content(it.child)
-
-
-def drop_head(cw: CW) -> CW:
-    items = list(cw.items)
-    it = items.pop(0)
-    if it.is_run:
-        rest = [Item(True, it.child, it.count - 1)] if it.count > 1 else []
-        return _mk(rest + items)
-    unrolled = drop_head(it.child)
-    pre = list(unrolled.items)
+def take_head(items: list) -> CW:
+    """Remove the leading entry of a nonempty item list in place and return
+    its content, unrolling one copy of each leading repeated subsequence."""
+    it = items[0]
+    while not it.is_run:
+        repl = list(it.child.items)
+        if it.count > 1:
+            repl.append(Item(False, it.child, it.count - 1))
+        items[0:1] = repl
+        it = items[0]
     if it.count > 1:
-        pre.append(Item(False, it.child, it.count - 1))
-    return _mk(pre + items)
+        items[0] = Item(True, it.child, it.count - 1)
+    else:
+        del items[0]
+    return it.child
 
 
-def split_below(cw: CW, threshold: Ordinal):
-    """Split before the first entry with order type < threshold.
+def split_below(items, threshold: Ordinal):
+    """Split an item list before its first entry with order type < threshold.
 
-    Returns (prefix_items, suffix_cw) or None when no entry is below.
+    Returns (prefix items, suffix items or None when no entry is below,
+    least entry order type of the prefix or None when the prefix is empty).
     """
-    prefix: list = []
-    items = list(cw.items)
-    i = 0
-    while i < len(items):
-        it = items[i]
+    low_min = None
+    for i, it in enumerate(items):
         child = it.child
         if it.is_run:
             low = child._o
@@ -240,21 +203,21 @@ def split_below(cw: CW, threshold: Ordinal):
             if low is None:
                 low = child.min_o()
         if cmp(low, threshold) >= 0:
-            prefix.append(it)
-            i += 1
+            if low_min is None or cmp(low, low_min) < 0:
+                low_min = low
             continue
+        prefix = list(items[:i])
         if it.is_run:
             # the very first copy is the split point
-            return prefix, _mk(items[i:])
-        sub = split_below(it.child, threshold)
-        assert sub is not None
-        sub_prefix, sub_suffix = sub
-        prefix.extend(sub_prefix)
-        rest = list(sub_suffix.items)
+            return prefix, list(items[i:]), low_min
+        sub_prefix, suffix, sub_min = split_below(child.items, threshold)
         if it.count > 1:
-            rest.append(Item(False, it.child, it.count - 1))
-        return prefix, _mk(rest + items[i + 1:])
-    return None
+            suffix.append(Item(False, child, it.count - 1))
+        suffix.extend(items[i + 1:])
+        if sub_min is not None and (low_min is None or cmp(sub_min, low_min) < 0):
+            low_min = sub_min
+        return prefix + sub_prefix, suffix, low_min
+    return list(items), None, low_min
 
 
 # --- order types ---------------------------------------------------------------
@@ -406,12 +369,16 @@ def o_cw(cw: CW) -> Ordinal:
 
 # --- stepping ------------------------------------------------------------------
 #
-# The runner keeps the worm as a short mutable list of leading items (the
-# active zone, where all head consumption happens) plus a stack of cold
-# tail segments.  Cold segments are merged pairwise into binary boxes as
-# they accumulate, so the stack and every box tree stay logarithmic in the
-# number of steps, and prefix scans can skip whole boxes via their
-# min-order annotations.
+# The runner is the step engine behind G_witness and every step_iter step
+# after the head window.  It keeps the worm as a short mutable list of
+# leading items (the active zone, where take_head consumes entries) plus a
+# stack of cold tail segments.  Cold segments are merged pairwise into
+# binary boxes as they accumulate, so the stack and every box tree stay
+# logarithmic in the number of steps.  A step's prefix scan is split_below
+# over the active zone and then over popped cold segments, each as one
+# item, so whole boxes are skipped via their min-order annotations.  The
+# collected prefix is annotated the same way.  Once the head is unrolled,
+# the active zone is trimmed to _ACTIVE_CAP items.
 
 _ACTIVE_CAP = 48
 
@@ -437,10 +404,10 @@ class CompactRunner:
         return not self.active and not self.cold
 
     def as_cw(self) -> CW:
-        items = list(self.active)
-        for seg, _w in reversed(self.cold):
-            items.append(Item(False, seg, 1))
-        return _mk(items)
+        # active items are live and cold segments nonempty, which is all a
+        # compact worm needs, so a snapshot skips the _mk pass
+        cold = tuple(Item(False, seg, 1) for seg, _w in reversed(self.cold))
+        return CW(tuple(self.active) + cold)
 
     @property
     def length(self) -> int:
@@ -475,30 +442,6 @@ class CompactRunner:
             del self.active[_ACTIVE_CAP // 2:]
             self._push_cold(_mk(tail))
 
-    # -- head operations on the active zone
-
-    def _head_content(self) -> CW:
-        while True:
-            it = self.active[0]
-            if it.is_run:
-                return it.child
-            # unroll one copy of a repeated subsequence in place
-            sub = it.child
-            repl = list(sub.items)
-            if it.count > 1:
-                repl.append(Item(False, sub, it.count - 1))
-            self.active[0:1] = repl
-            self._trim_active()
-
-    def _drop_head(self) -> None:
-        it = self.active[0]
-        assert it.is_run
-        if it.count > 1:
-            self.active[0] = Item(True, it.child, it.count - 1)
-        else:
-            del self.active[0]
-        self._refill_active()
-
     def _step_entry(self, h: CW, n: int) -> CW:
         # dropping a leading top entry does not depend on the step index
         first = h.items[0]
@@ -514,77 +457,32 @@ class CompactRunner:
     def step(self) -> None:
         self.steps += 1
         n = self.steps
-        h = self._head_content()
-        if not h.items:
-            self._drop_head()
-            return
-        stepped = self._step_entry(h, n)
-        threshold = o_cw(h)
-        self._drop_head()
-        # collect the prefix up to the first entry strictly below the head
-        prefix: list = [entry_run(stepped, 1)]
-        pref_min = o_cw(stepped)
-        suffix_items = None
-        while True:
-            i = 0
-            found = False
-            active = self.active
-            n_active = len(active)
-            while i < n_active:
-                it = active[i]
-                child = it.child
-                if it.is_run:
-                    low = child._o
-                    if low is None:
-                        low = o_cw(child)
-                else:
-                    low = child._min_o
-                    if low is None:
-                        low = child.min_o()
-                if cmp(low, threshold) >= 0:
-                    prefix.append(it)
-                    if cmp(low, pref_min) < 0:
-                        pref_min = low
-                    i += 1
-                    continue
-                if it.is_run:
-                    suffix_items = self.active[i:]
-                else:
-                    sp = split_below(it.child, threshold)
-                    sub_prefix, sub_suffix = sp
-                    prefix.extend(sub_prefix)
-                    rest = list(sub_suffix.items)
-                    if it.count > 1:
-                        rest.append(Item(False, it.child, it.count - 1))
-                    suffix_items = rest + self.active[i + 1:]
-                found = True
-                break
-            if found or not self.cold:
-                break
-            seg, _w = self.cold.pop()
-            seg_min = seg.min_o()
-            if cmp(seg_min, threshold) >= 0:
-                prefix.append(Item(False, seg, 1))
-                if cmp(seg_min, pref_min) < 0:
-                    pref_min = seg_min
-                self.active = []
-                continue
-            sp = split_below(seg, threshold)
-            sub_prefix, sub_suffix = sp
-            prefix.extend(sub_prefix)
-            pref_min = None  # descent items carry no precomputed minimum
-            suffix_items = list(sub_suffix.items)
-            break
-        if found and not it.is_run:
-            pref_min = None
-        bpref = _mk(prefix)
-        if bpref.items and pref_min is not None and bpref._min_o is None:
-            bpref._min_o = pref_min
-        self.active = [Item(False, bpref, n + 1)] if bpref.items else []
-        if suffix_items:
-            self._push_cold(_mk(suffix_items))
+        h = take_head(self.active)
+        # unrolling can leave a long active zone: move its tail to the cold
+        # stack before the scan, so the prefix takes it as one item
         self._trim_active()
         self._refill_active()
+        if h.items:
+            stepped = self._step_entry(h, n)
+            threshold = o_cw(h)
+            # collect the prefix up to the first entry strictly below the
+            # head: the rest of the active zone, then whole cold segments
+            prefix: list = [Item(True, stepped, 1)]
+            pref_min = o_cw(stepped)
+            items = self.active
+            while True:
+                pre, suffix, low = split_below(items, threshold)
+                prefix.extend(pre)
+                if low is not None and cmp(low, pref_min) < 0:
+                    pref_min = low
+                if suffix is not None or not self.cold:
+                    break
+                items = [Item(False, self.cold.pop()[0], 1)]
+            bpref = _mk(prefix)
+            bpref._min_o = pref_min
+            self.active = [Item(False, bpref, n + 1)]
+            if suffix:
+                self._push_cold(_mk(suffix))
 
     def run(self, budget: int) -> bool:
         """Advance until top or until `budget` total steps; True if done.
@@ -610,17 +508,11 @@ def _entry_step(h: CW, n: int, step_entry) -> CW:
     """One fundamental-sequence step of an entry content worm."""
     if not h.items:
         return h
-    inner = head_content(h)
-    rest = drop_head(h)
+    items = list(h.items)
+    inner = take_head(items)
     if not inner.items:
-        return rest
+        return _mk(items)
     stepped = step_entry(inner, n)
-    threshold = o_cw(inner)
-    sp = split_below(rest, threshold)
-    if sp is None:
-        mid_items, suffix = list(rest.items), EMPTY
-    else:
-        mid_items, suffix = sp
-        suffix = suffix if isinstance(suffix, CW) else _mk(suffix)
-    bpref = _mk([entry_run(stepped, 1)] + list(mid_items))
-    return cw_concat(cw_rep(bpref, n + 1), suffix)
+    prefix, suffix, _low = split_below(items, o_cw(inner))
+    bpref = _mk([Item(True, stepped, 1)] + prefix)
+    return _mk([Item(False, bpref, n + 1)] + (suffix or []))

@@ -335,6 +335,8 @@ def certificate_from_json_obj(obj) -> Certificate:
     order = []
     while todo:
         node = todo.pop()
+        if not isinstance(node, dict):
+            raise ValueError("certificate node is not an object: %s" % type(node).__name__)
         order.append(node)
         for p in node.get("premises") or ():
             todo.append(p)

@@ -2,7 +2,7 @@
 
 Commands: fmt, ord, cmp, nf, prove, check, step, fs, growth.
 Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
-2 parse error, 3 budget exhausted.
+2 parse error or unreadable input, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -92,11 +92,14 @@ def cmd_prove(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.certificate == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.certificate, "r", encoding="ascii") as fh:
-            text = fh.read()
+    try:
+        if args.certificate == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.certificate, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        return _parse_error(err)
     try:
         cert = certificate_from_json(text)
     except (ValueError, KeyError, TypeError) as err:
@@ -163,6 +166,17 @@ def cmd_growth(args) -> int:
     return EXIT_BUDGET
 
 
+def _count(text: str) -> int:
+    """argparse type of budgets, windows and indices: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0: %r" % text)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bracketcalc",
@@ -201,19 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("step", help="iterate the bracket fundamental sequence")
     sp.add_argument("worm")
-    sp.add_argument("--budget", type=int, default=10000)
-    sp.add_argument("--window", type=int, default=64)
+    sp.add_argument("--budget", type=_count, default=10000)
+    sp.add_argument("--window", type=_count, default=64)
     sp.set_defaults(func=cmd_step)
 
     sp = sub.add_parser("fs", help="one fundamental-sequence step of an ordinal")
     sp.add_argument("ordinal")
-    sp.add_argument("x", type=int)
+    sp.add_argument("x", type=_count)
     sp.set_defaults(func=cmd_fs)
 
     sp = sub.add_parser("growth", help="step-down witness counts")
     sp.add_argument("function", choices=("F", "G"))
-    sp.add_argument("m", type=int)
-    sp.add_argument("--budget", type=int, default=10000)
+    sp.add_argument("m", type=_count)
+    sp.add_argument("--budget", type=_count, default=10000)
     sp.set_defaults(func=cmd_growth)
 
     return p

@@ -49,14 +49,16 @@ def fs_bracket(a: BracketWorm, n: int) -> BracketWorm:
 
 
 @dataclass(frozen=True)
-class StepTrace:
-    start: BracketWorm
+class Trace:
+    """A budgeted descent of bracket worms or of ordinals."""
+
+    start: object  # a BracketWorm or an Ordinal; the steps are of its type
     terminated: bool
     steps_used: int
     budget: int
     window: int
-    head: tuple  # first worms of the trace, including the start
-    tail: tuple  # last worms of the trace; empty if head covers everything
+    head: tuple  # first steps of the trace, including the start
+    tail: tuple  # last steps of the trace; empty if head covers everything
 
     @property
     def complete(self) -> bool:
@@ -70,89 +72,81 @@ class StepTrace:
         return self.head
 
     def to_json_obj(self) -> dict:
+        show = print_ordinal if isinstance(self.start, Ordinal) else print_worm
         return {
-            "start": print_worm(self.start),
+            "start": show(self.start),
             "terminated": self.terminated,
             "steps_used": self.steps_used,
             "budget": self.budget,
-            "head": [print_worm(w) for w in self.head],
-            "tail": [print_worm(w) for w in self.tail],
+            "head": [show(x) for x in self.head],
+            "tail": [show(x) for x in self.tail],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-# plain worms larger than this switch step_iter to the compressed engine,
-# and worms larger than it are left out of trace windows
+StepTrace = DescentTrace = Trace
+
+# worms larger than this end step_iter's plain head and are left out of
+# trace windows
 _DENSE_LIMIT = 4096
 
 
-def step_iter(a: BracketWorm, budget: int, window: int = 64) -> StepTrace:
+def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
     """Iterate a[[n+1]] = a[[n]]{n+1} until top or the budget runs out.
 
-    The first and last `window` worms are recorded, provided they are small
-    enough to materialize; step counts and termination are always exact.
-    Worms beyond a few thousand entries are handled by the run-length
-    compressed engine, so budgets in the millions stay feasible even while
-    the underlying worms grow astronomically long.
+    The first and last `window` worms are recorded, provided they have at
+    most _DENSE_LIMIT entries; step counts and termination are always
+    exact.  fs_bracket steps the head window, at most `window` calls.  Every
+    later step runs on the run-length compressed engine, which keeps a
+    snapshot of its last `window` states and materializes them once, at the
+    end, so budgets in the millions stay feasible while the worms grow
+    astronomically long.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if budget < 0 or window < 0:
+        raise ValueError("budget and window must be >= 0")
     head = [a]
-    tail: deque = deque(maxlen=window)
     cur = a
     steps = 0
     terminated = not cur.entries
-    runner = None
-    while not terminated and steps < budget:
+    while not terminated and steps < min(budget, window):
         steps += 1
-        if runner is None:
-            cur = fs_bracket(cur, steps)
-            if len(cur.entries) > _DENSE_LIMIT:
-                from ._compact import CompactRunner
-
-                runner = CompactRunner(cur)
-                runner.steps = steps
-                record = None
-                terminated = False
-            else:
-                record = cur
-                terminated = not cur.entries
-        else:
-            runner.step()
-            terminated = runner.finished
-            record = None
-            if runner.length <= _DENSE_LIMIT:
-                from ._compact import to_bracket
-
-                record = to_bracket(runner.as_cw(), limit=_DENSE_LIMIT)
-        if record is not None:
-            if len(head) == steps and len(head) < window + 1:
-                head.append(record)
-            else:
-                tail.append((steps, record))
-        else:
-            tail.clear()
-    # keep only a contiguous run of final worms in the tail
-    tail_worms = []
-    expect = steps
-    for s, w in reversed(tail):
-        if s != expect:
+        cur = fs_bracket(cur, steps)
+        terminated = not cur.entries
+        if len(cur.entries) > _DENSE_LIMIT:
             break
-        tail_worms.append(w)
-        expect -= 1
-    if tail_worms and expect < len(head) - 1:
-        # the windows overlap; the head already covers everything
-        tail_worms = []
-    return StepTrace(
+        head.append(cur)
+    tail = []
+    if not terminated and steps < budget:
+        from ._compact import CompactRunner, to_bracket
+
+        # the runner replays the head from the start worm: its state then
+        # stays run-length compressed, where from_bracket(cur) is one flat
+        # item list that later steps copy and rescan
+        runner = CompactRunner(a)
+        runner.run(steps)
+        recent: deque = deque(maxlen=window)
+        while not runner.finished and runner.steps < budget:
+            runner.step()
+            recent.append(runner.as_cw())
+        terminated = runner.finished
+        steps = runner.steps
+        # the tail is the contiguous run of small worms that ends the trace
+        for cw in reversed(recent):
+            worm = to_bracket(cw, limit=_DENSE_LIMIT)
+            if worm is None:
+                break
+            tail.append(worm)
+        tail.reverse()
+    return Trace(
         start=a,
         terminated=terminated,
         steps_used=steps,
         budget=budget,
         window=window,
         head=tuple(head),
-        tail=tuple(tail_worms[::-1]),
+        tail=tuple(tail),
     )
 
 
@@ -186,41 +180,7 @@ def fs_veblen(xi: Ordinal, x: int) -> Ordinal:
     return veblen(a, fs_veblen(b, x))
 
 
-@dataclass(frozen=True)
-class DescentTrace:
-    start: Ordinal
-    terminated: bool
-    steps_used: int
-    budget: int
-    window: int
-    head: tuple
-    tail: tuple
-
-    @property
-    def complete(self) -> bool:
-        return len(self.head) == self.steps_used + 1
-
-    @property
-    def steps(self) -> tuple:
-        if not self.complete:
-            raise ValueError("trace was truncated to a head/tail window")
-        return self.head
-
-    def to_json_obj(self) -> dict:
-        return {
-            "start": print_ordinal(self.start),
-            "terminated": self.terminated,
-            "steps_used": self.steps_used,
-            "budget": self.budget,
-            "head": [print_ordinal(o) for o in self.head],
-            "tail": [print_ordinal(o) for o in self.tail],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-
-def descend(xi: Ordinal, budget: int, window: int = 64) -> DescentTrace:
+def descend(xi: Ordinal, budget: int, window: int = 64) -> Trace:
     """Iterate xi<n+1> = xi<n>[n+1] until zero or the budget runs out."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -237,7 +197,7 @@ def descend(xi: Ordinal, budget: int, window: int = 64) -> DescentTrace:
         else:
             tail.append(cur)
         terminated = cur.is_zero()
-    return DescentTrace(
+    return Trace(
         start=xi,
         terminated=terminated,
         steps_used=steps,
@@ -253,6 +213,8 @@ _GAMMA_CACHE = [ZERO]
 
 def gamma(n: int) -> Ordinal:
     """gamma(0) = 0 and gamma(n+1) = phi_{gamma(n)}(0)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     while len(_GAMMA_CACHE) <= n:
         _GAMMA_CACHE.append(veblen(_GAMMA_CACHE[-1], ZERO))
     return _GAMMA_CACHE[n]
@@ -278,6 +240,8 @@ def F_witness(m: int, budget: int):
 
 def a_seq(n: int) -> BracketWorm:
     """a(0) = top, a(1) = (), a(n+2) = three brackets around a(n)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return TOP_WORM
     if n == 1:

@@ -1,9 +1,14 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import bracketcalc
 from bracketcalc.cli import main
 
 
@@ -114,3 +119,53 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "phi(1,0)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("step", "()", "--budget", "-1"),
+        ("step", "()", "--window", "-1"),
+        ("step", "()", "--budget", "x"),
+        ("fs", "phi(0,1)", "-3"),
+        ("growth", "G", "-1"),
+        ("growth", "F", "1", "--budget", "-1"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", '"x"', '{"premises": [1]}', '{"side": [1], "premises": []}']
+)
+def test_check_rejects_nodes_that_are_not_objects(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = invoke(capsys, "check", "-")
+    assert code == 2 and out == "" and err.startswith("error: malformed certificate")
+
+
+def test_check_unreadable_file(capsys, tmp_path):
+    binary = tmp_path / "cert.bin"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.json", tmp_path, binary):
+        code, out, err = invoke(capsys, "check", str(path))
+        assert code == 2 and out == "" and err.startswith("error: "), path
+
+
+def test_cli_import_leaves_compact_engine_unloaded():
+    # start-up time: the compressed engine is imported on first use only
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, bracketcalc.cli; print('bracketcalc._compact' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

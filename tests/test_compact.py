@@ -3,7 +3,13 @@
 import random
 
 from bracketcalc import fs_bracket, o_star, parse_worm, print_worm
-from bracketcalc._compact import CompactRunner, from_bracket, o_cw, to_bracket
+from bracketcalc._compact import (
+    _ACTIVE_CAP,
+    CompactRunner,
+    from_bracket,
+    o_cw,
+    to_bracket,
+)
 from corpus import corpus
 
 W = parse_worm
@@ -65,4 +71,4 @@ def test_long_run_stays_compact():
     assert not r.finished
     assert r.steps == 30000
     assert r.length > 10**15
-    assert len(r.active) <= 4096 and len(r.cold) < 64
+    assert len(r.active) <= _ACTIVE_CAP and len(r.cold) < 64

@@ -22,6 +22,7 @@ from bracketcalc import (
     fs_veblen,
     gamma,
     nat,
+    nesting_worm,
     o_star,
     omega_pow,
     parse_ordinal,
@@ -90,6 +91,55 @@ def test_step_iter_budget_zero():
     assert not tr.terminated and tr.steps_used == 0
     with pytest.raises(ValueError):
         step_iter(W("()"), -1)
+    with pytest.raises(ValueError):
+        step_iter(W("()"), 5, window=-1)
+
+
+# trace windows leave out worms above this many entries
+DENSE_LIMIT = 4096
+
+
+def plain_trace(a, budget: int, max_len: int):
+    """The fs_bracket trace from a, with None for worms above DENSE_LIMIT
+    entries; None if any worm has more than max_len entries."""
+    worms = [a]
+    cur = a
+    while cur.entries and len(worms) <= budget:
+        cur = fs_bracket(cur, len(worms))
+        if len(cur.entries) > max_len:
+            return None
+        worms.append(cur if len(cur.entries) <= DENSE_LIMIT else None)
+    return worms
+
+
+def test_step_iter_windows_match_plain_oracle():
+    checked = 0
+    for a in corpus(6):
+        if nesting_worm(a) > 2:
+            continue
+        for budget in (40, 300):
+            worms = plain_trace(a, budget, 20000)
+            if worms is None:
+                continue
+            steps = len(worms) - 1
+            terminated = worms[-1] is not None and not worms[-1].entries
+            for window in (0, 1, 2, 8, 64):
+                head = [a]
+                for w in worms[1:window + 1]:
+                    if w is None:
+                        break
+                    head.append(w)
+                tail = []
+                i = steps
+                while i >= len(head) and len(tail) < window and worms[i] is not None:
+                    tail.append(worms[i])
+                    i -= 1
+                tr = step_iter(a, budget, window)
+                got = (tr.steps_used, tr.terminated, tr.head, tr.tail)
+                want = (steps, terminated, tuple(head), tuple(tail[::-1]))
+                assert got == want, (print_worm(a), budget, window)
+                checked += 1
+    assert checked >= 500
 
 
 # --- ordinal steps ----------------------------------------------------------------
@@ -255,6 +305,9 @@ def test_gamma_values():
     assert gamma(1) == ONE
     assert gamma(2) == EPS0
     assert gamma(3) == veblen(EPS0, ZERO)
+    # with gamma(3) memoized, a negative index must not reach the memo
+    with pytest.raises(ValueError):
+        gamma(-1)
 
 
 def test_a_seq():
@@ -264,12 +317,18 @@ def test_a_seq():
     assert a_seq(3) == W("(((())))")
     assert o_star(a_seq(2)) == gamma(2)
     assert o_star(a_seq(3)) == gamma(3)
+    with pytest.raises(ValueError):
+        a_seq(-1)
 
 
 def test_F_witness_small():
     assert F_witness(0, 0) == Found(0)
     assert F_witness(1, 5) == Found(1)
     assert F_witness(1, 0) == BudgetExhausted(0)
+    with pytest.raises(ValueError):
+        F_witness(-2, 10)
+    with pytest.raises(ValueError):
+        G_witness(-1, 10)
 
 
 def test_F_witness_two():
