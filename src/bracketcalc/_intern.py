@@ -1,0 +1,30 @@
+"""The hash-consing table behind every immutable term node.
+
+A term class's `__new__` looks its key (the class and the node's fields) up
+here and stores the node it builds on a miss, so equal values are one
+object and `==` and `hash` are identity.  The table holds weak references
+only: a node lives as long as something else uses it, and its entry goes
+with it (Filliatre and Conchon, Type-Safe Modular Hash-Consing, 2006).
+"""
+
+from weakref import ref
+
+_TABLE: dict = {}
+
+
+def lookup(key):
+    """The live node stored under key, or None."""
+    r = _TABLE.get(key)
+    return None if r is None else r()
+
+
+def store(key, node):
+    """Store node under key and return it."""
+
+    def drop(r):
+        # a dead node's entry may already hold its live replacement
+        if _TABLE.get(key) is r:
+            del _TABLE[key]
+
+    _TABLE[key] = ref(node, drop)
+    return node

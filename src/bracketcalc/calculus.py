@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 
+from ._intern import lookup, store
 from .ordinals import cmp
 from .syntax import (
     TOP,
@@ -80,20 +81,16 @@ class HasVariables(ValueError):
 
 
 class Sequent:
-    __slots__ = ("lhs", "rhs", "_hash")
+    __slots__ = ("lhs", "rhs", "__weakref__")
 
-    def __init__(self, lhs: BracketFormula, rhs: BracketFormula):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash((hash(lhs), hash(rhs)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequent):
-            return NotImplemented
-        return self._hash == other._hash and self.lhs == other.lhs and self.rhs == other.rhs
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, lhs: BracketFormula, rhs: BracketFormula):
+        key = (cls, lhs, rhs)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.lhs = lhs
+            node.rhs = rhs
+        return node
 
     def __repr__(self):
         return "%s |- %s" % (print_formula(self.lhs), print_formula(self.rhs))
@@ -329,6 +326,12 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_json_obj(cert), sort_keys=True)
 
 
+def _decode_formula(text) -> BracketFormula:
+    if not isinstance(text, str):
+        raise ValueError("certificate formula is not a string: %s" % type(text).__name__)
+    return parse_formula(text)
+
+
 def certificate_from_json_obj(obj) -> Certificate:
     # build bottom-up with an explicit stack so deep trees stay safe
     todo = [obj]
@@ -337,20 +340,31 @@ def certificate_from_json_obj(obj) -> Certificate:
         node = todo.pop()
         if not isinstance(node, dict):
             raise ValueError("certificate node is not an object: %s" % type(node).__name__)
-        order.append(node)
-        for p in node.get("premises") or ():
-            todo.append(p)
-        if node.get("side"):
-            todo.append(node["side"])
+        # only a missing key or null means none
+        premises = node.get("premises")
+        if premises is None:
+            premises = []
+        elif not isinstance(premises, list):
+            raise ValueError(
+                "certificate premises are not a list: %s" % type(premises).__name__
+            )
+        side = node.get("side")
+        order.append((node, premises, side))
+        todo.extend(premises)
+        if side is not None:
+            todo.append(side)
     built: dict = {}
-    for node in reversed(order):
+    for node, premises, side in reversed(order):
         concl = Sequent(
-            parse_formula(node["conclusion"]["lhs"]),
-            parse_formula(node["conclusion"]["rhs"]),
+            _decode_formula(node["conclusion"]["lhs"]),
+            _decode_formula(node["conclusion"]["rhs"]),
         )
-        premises = tuple(built[id(p)] for p in node.get("premises") or ())
-        side = built[id(node["side"])] if node.get("side") else None
-        built[id(node)] = Certificate(concl, node["rule"], premises, side)
+        built[id(node)] = Certificate(
+            concl,
+            node["rule"],
+            tuple(built[id(p)] for p in premises),
+            None if side is None else built[id(side)],
+        )
     return built[id(obj)]
 
 

@@ -2,7 +2,9 @@
 
 Commands: fmt, ord, cmp, nf, prove, check, step, fs, growth.
 Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
-2 parse error or unreadable input, 3 budget exhausted.
+2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
+limit exceeded (nesting too deep for the recursive code, or a trace the
+compressed engine cannot evaluate).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+EXIT_LIMIT = 4
 
 
 def _parse_error(err) -> int:
@@ -235,7 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RuntimeError as err:
+        # RecursionError, the compact engine's CompactionLimit, and the
+        # prover's exhausted fundamental sequence search
+        print("error: limit exceeded: %s" % err, file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 An ordinal is a non-increasing sum of infinite Veblen terms phi(level, arg)
 followed by a finite part.  The finite part is kept as a plain int so that
 large finite ordinals (which step-down traces produce in bulk) stay cheap.
-Values are normalized at construction time, so structural equality is value
-equality.
+Values are normalized at construction time and hash-consed, so equal values
+are one object and equality is identity.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+
+from ._intern import lookup, store
 
 
 class NotLeftSubtractable(ValueError):
@@ -37,26 +39,16 @@ class VeblenTerm:
     of Ordinal instead.
     """
 
-    __slots__ = ("level", "arg", "_hash")
+    __slots__ = ("level", "arg", "__weakref__")
 
-    def __init__(self, level: "Ordinal", arg: "Ordinal"):
-        self.level = level
-        self.arg = arg
-        self._hash = hash((0x7E5, level._hash, arg._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, VeblenTerm):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.level == other.level
-            and self.arg == other.arg
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, level: "Ordinal", arg: "Ordinal"):
+        key = (cls, level, arg)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.level = level
+            node.arg = arg
+        return node
 
     def __repr__(self):
         return "phi(%r,%r)" % (self.level, self.arg)
@@ -65,26 +57,17 @@ class VeblenTerm:
 class Ordinal:
     """terms + fin: normalized sum of infinite terms plus a natural number."""
 
-    __slots__ = ("terms", "fin", "_hash")
+    __slots__ = ("terms", "fin", "_iota", "__weakref__")
 
-    def __init__(self, terms: tuple = (), fin: int = 0):
-        self.terms = terms
-        self.fin = fin
-        self._hash = hash((tuple(t._hash for t in terms), fin))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.fin == other.fin
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, terms: tuple = (), fin: int = 0):
+        key = (cls, terms, fin)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.terms = terms
+            node.fin = fin
+            node._iota = None  # the canonical bracket worm, see worms.iota_worm
+        return node
 
     def __lt__(self, other):
         return cmp(self, other) < 0
@@ -118,7 +101,7 @@ def _single(t: VeblenTerm) -> Ordinal:
 
 
 def _cmp_term(s: VeblenTerm, t: VeblenTerm) -> int:
-    if s == t:
+    if s is t:
         return 0
     c = cmp(s.level, t.level)
     if c == 0:

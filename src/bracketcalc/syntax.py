@@ -7,9 +7,14 @@ is suppressed when printing, so parse(print(x)) == x on canonical output.
 
 Conjunction under a bracket needs explicit grouping, written `[` formula `]`;
 it only ever appears in machine-produced derivation text.
+
+Worms and formulas are hash-consed: equal values are one object, so
+equality and hashing are identity.
 """
 
 from __future__ import annotations
+
+from ._intern import lookup, store
 
 
 class ParseError(ValueError):
@@ -21,21 +26,16 @@ class ParseError(ValueError):
 class BracketWorm:
     """A finite sequence of bracket worms; the empty sequence is top."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_o", "__weakref__")
 
-    def __init__(self, entries: tuple = ()):
-        self.entries = entries
-        self._hash = hash(tuple(e._hash for e in entries))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BracketWorm):
-            return NotImplemented
-        return self._hash == other._hash and self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, entries: tuple = ()):
+        key = (cls, entries)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.entries = entries
+            node._o = None  # the order type, see worms.o_star
+        return node
 
     def __len__(self):
         return len(self.entries)
@@ -60,12 +60,6 @@ class Top(BracketFormula):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __eq__(self, other):
-        return isinstance(other, Top)
-
-    def __hash__(self):
-        return hash(Top)
-
     def __repr__(self):
         return "Top"
 
@@ -74,62 +68,49 @@ TOP = Top()
 
 
 class Var(BracketFormula):
-    __slots__ = ("index",)
+    __slots__ = ("index", "__weakref__")
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int):
         if index < 1:
             raise ValueError("variable index must be positive")
-        self.index = index
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("var", self.index))
+        key = (cls, index)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.index = index
+        return node
 
     def __repr__(self):
         return "Var(%d)" % self.index
 
 
 class Conj(BracketFormula):
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "__weakref__")
 
-    def __init__(self, left: BracketFormula, right: BracketFormula):
-        self.left = left
-        self.right = right
-        self._hash = hash(("conj", hash(left), hash(right)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Conj):
-            return False
-        return self._hash == other._hash and self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, left: BracketFormula, right: BracketFormula):
+        key = (cls, left, right)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.left = left
+            node.right = right
+        return node
 
     def __repr__(self):
         return "Conj(%r, %r)" % (self.left, self.right)
 
 
 class Diamond(BracketFormula):
-    __slots__ = ("label", "body", "_hash")
+    __slots__ = ("label", "body", "__weakref__")
 
-    def __init__(self, label: BracketWorm, body: BracketFormula):
-        self.label = label
-        self.body = body
-        self._hash = hash(("dia", label._hash, hash(body)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Diamond):
-            return False
-        return self._hash == other._hash and self.label == other.label and self.body == other.body
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, label: BracketWorm, body: BracketFormula):
+        key = (cls, label, body)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.label = label
+            node.body = body
+        return node
 
     def __repr__(self):
         return "Diamond(%r, %r)" % (self.label, self.body)

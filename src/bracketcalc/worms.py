@@ -2,12 +2,15 @@
 
 A worm is a plain tuple of ordinals: <x1>...<xn>T is (x1, ..., xn) and the
 empty tuple is top.  Most things here are thin recursions over the ordinal
-engine; results are memoized because the same small worms come up constantly
-in tests and in the certificate prover.
+engine.  The order type of a bracket worm and the canonical worm of an
+ordinal are cached on the node itself, because the same small worms come up
+constantly in tests and in the certificate prover; a cached value lives as
+long as its node.
 """
 
 from __future__ import annotations
 
+from ._intern import lookup, store
 from .ordinals import (
     ONE,
     ZERO,
@@ -36,12 +39,6 @@ class RTop(RCFormula):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __eq__(self, other):
-        return isinstance(other, RTop)
-
-    def __hash__(self):
-        return hash(RTop)
-
     def __repr__(self):
         return "RTop"
 
@@ -50,60 +47,49 @@ RTOP = RTop()
 
 
 class RVar(RCFormula):
-    __slots__ = ("index",)
+    __slots__ = ("index", "__weakref__")
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int):
         if index < 1:
             raise ValueError("variable index must be positive")
-        self.index = index
-
-    def __eq__(self, other):
-        return isinstance(other, RVar) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("rvar", self.index))
+        key = (cls, index)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.index = index
+        return node
 
     def __repr__(self):
         return "RVar(%d)" % self.index
 
 
 class RConj(RCFormula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "__weakref__")
 
-    def __init__(self, left: RCFormula, right: RCFormula):
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RConj)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("rconj", self.left, self.right))
+    def __new__(cls, left: RCFormula, right: RCFormula):
+        key = (cls, left, right)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.left = left
+            node.right = right
+        return node
 
     def __repr__(self):
         return "RConj(%r, %r)" % (self.left, self.right)
 
 
 class RDia(RCFormula):
-    __slots__ = ("index", "body")
+    __slots__ = ("index", "body", "__weakref__")
 
-    def __init__(self, index: Ordinal, body: RCFormula):
-        self.index = index
-        self.body = body
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RDia)
-            and self.index == other.index
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash(("rdia", self.index, self.body))
+    def __new__(cls, index: Ordinal, body: RCFormula):
+        key = (cls, index, body)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.index = index
+            node.body = body
+        return node
 
     def __repr__(self):
         return "RDia(%r, %r)" % (self.index, self.body)
@@ -135,11 +121,6 @@ def uparrow(lam: Ordinal, a: Worm) -> Worm:
     return tuple(add(lam, e) for e in a)
 
 
-# Memo tables below hold deterministic values keyed by immutable inputs, so
-# concurrent readers and writers can only ever race on storing equal values.
-_ORDER_CACHE: dict = {}
-
-
 def _segment_order(seg: Worm) -> Ordinal:
     # order type of a zero-free worm (possibly empty)
     if not seg:
@@ -160,9 +141,6 @@ def order_type(w: Worm) -> Ordinal:
     """
     if not w:
         return ZERO
-    cached = _ORDER_CACHE.get(w)
-    if cached is not None:
-        return cached
     segs = []
     cur = []
     for e in w:
@@ -175,11 +153,7 @@ def order_type(w: Worm) -> Ordinal:
     val = _segment_order(segs[-1])
     for seg in segs[-2::-1]:
         val = add(val, add(ONE, _segment_order(seg)))
-    _ORDER_CACHE[w] = val
     return val
-
-
-_O_STAR_CACHE: dict = {}
 
 
 def star(a: BracketWorm) -> Worm:
@@ -188,11 +162,10 @@ def star(a: BracketWorm) -> Worm:
 
 
 def o_star(a: BracketWorm) -> Ordinal:
-    cached = _O_STAR_CACHE.get(a)
-    if cached is None:
-        cached = order_type(star(a))
-        _O_STAR_CACHE[a] = cached
-    return cached
+    """The order type of a bracket worm, cached on the worm."""
+    if a._o is None:
+        a._o = order_type(star(a))
+    return a._o
 
 
 def tau(f: BracketFormula) -> RCFormula:
@@ -231,21 +204,16 @@ def worm_of_ordinal(x: Ordinal) -> Worm:
     return (ZERO,) * x.fin + out
 
 
-_IOTA_CACHE: dict = {}
-
-
 def worm_iota(w: Worm) -> BracketWorm:
     """Translate an ordinal worm back to brackets, entry by entry."""
     return BracketWorm(tuple(iota_worm(e) for e in w))
 
 
 def iota_worm(x: Ordinal) -> BracketWorm:
-    """The canonical bracket worm denoting the ordinal x."""
-    cached = _IOTA_CACHE.get(x)
-    if cached is None:
-        cached = worm_iota(worm_of_ordinal(x))
-        _IOTA_CACHE[x] = cached
-    return cached
+    """The canonical bracket worm denoting the ordinal x, cached on x."""
+    if x._iota is None:
+        x._iota = worm_iota(worm_of_ordinal(x))
+    return x._iota
 
 
 def iota(f: RCFormula) -> BracketFormula:

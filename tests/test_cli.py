@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bracketcalc
+from bracketcalc import certificate_to_json, parse_worm, prove_lt
 from bracketcalc.cli import main
 
 
@@ -151,6 +154,60 @@ def test_check_rejects_nodes_that_are_not_objects(capsys, monkeypatch, text):
     assert code == 2 and out == "" and err.startswith("error: malformed certificate")
 
 
+_AXIOM = {"rule": "AxId", "conclusion": {"lhs": "()", "rhs": "()"}}
+
+
+@pytest.mark.parametrize(
+    "links",
+    [
+        {"side": 0},
+        {"side": False},
+        {"side": ""},
+        {"side": []},
+        {"side": {}},
+        {"side": True},
+        {"premises": 0},
+        {"premises": {}},
+        {"premises": "()"},
+    ],
+)
+def test_check_rejects_non_object_side_and_non_list_premises(capsys, monkeypatch, links):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(dict(_AXIOM, **links))))
+    code, out, err = invoke(capsys, "check", "-")
+    assert code == 2 and out == "" and err.startswith("error: malformed certificate")
+
+
+@pytest.mark.parametrize("links", [{}, {"side": None, "premises": None}])
+def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(dict(_AXIOM, **links))))
+    assert invoke(capsys, "check", "-")[:2] == (0, "VALID\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ord", "(" * 400 + ")" * 400),
+        ("fmt", "&".join(["p1"] * 3000)),
+        ("growth", "F", "3", "--budget", "48"),
+    ],
+)
+def test_implementation_limits_exit_4(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: limit exceeded") and "Traceback" not in err
+
+
+def test_growth_budget_below_the_limit_still_exhausts(capsys):
+    assert invoke(capsys, "growth", "F", "3", "--budget", "40")[:2] == (
+        3,
+        "BudgetExhausted 40\n",
+    )
+
+
 def test_check_unreadable_file(capsys, tmp_path):
     binary = tmp_path / "cert.bin"
     binary.write_bytes(b"\xff\xfe")
@@ -169,3 +226,136 @@ def test_cli_import_leaves_compact_engine_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# --- fuzzing: every input reaches a documented exit code ----------------------
+
+_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def _run(argv, stdin=None):
+    """main's exit code and stderr, with argparse usage errors as exit codes."""
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = old_stdin
+    return code, err.getvalue()
+
+
+_worm_text = st.recursive(
+    st.just(""),
+    lambda inner: st.lists(inner, max_size=3).map(
+        lambda parts: "".join("(%s)" % p for p in parts)
+    ),
+    max_leaves=5,
+).map(lambda text: text or "T")
+_formula_text = st.recursive(
+    st.sampled_from(["T", "p1", "p2", "()", "(())"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("&".join),
+        st.tuples(_worm_text, inner).map(lambda lw: "(%s)[%s]" % lw),
+    ),
+    max_leaves=6,
+)
+_ordinal_text = st.recursive(
+    st.sampled_from(["0", "1", "7", "w"]),
+    lambda inner: st.one_of(
+        inner.map("w^{}".format),
+        st.tuples(inner, inner).map("+".join),
+        st.tuples(inner, inner).map(lambda ab: "phi(%s,%s)" % ab),
+    ),
+    max_leaves=6,
+)
+_garbage = st.text(alphabet="()[]T&p0123w^+hi,- ", max_size=16)
+_deep = st.integers(200, 1500)
+_small = st.integers(0, 40).map(str)
+_argv = st.one_of(
+    st.tuples(st.just("fmt"), st.one_of(_formula_text, _garbage)),
+    st.tuples(st.sampled_from(["ord", "nf"]), st.one_of(_worm_text, _garbage)),
+    st.tuples(st.just("cmp"), _worm_text, st.one_of(_worm_text, _garbage)),
+    st.tuples(
+        st.just("prove"), st.sampled_from(["lt", "le"]), _worm_text, _worm_text
+    ),
+    st.tuples(
+        st.just("step"), st.one_of(_worm_text, _garbage), st.just("--budget"), _small
+    ),
+    st.tuples(st.just("fs"), st.one_of(_ordinal_text, _garbage), _small),
+    # G 3 is left out: its steps take seconds each from the 20th on
+    st.tuples(
+        st.sampled_from(["F 0", "F 1", "F 2", "F 3", "G 0", "G 1", "G 2"]),
+        st.integers(0, 60),
+    ).map(lambda fm: ("growth", *fm[0].split(), "--budget", str(fm[1]))),
+    st.tuples(
+        st.sampled_from(["ord", "nf", "fmt"]), _deep.map(lambda n: "(" * n + ")" * n)
+    ),
+    st.tuples(st.just("fmt"), _deep.map(lambda n: "&".join(["p1"] * n))),
+    st.tuples(st.just("fs"), _deep.map(lambda n: "w^" * n + "1"), _small),
+    st.lists(_garbage, max_size=4),
+)
+
+
+@given(_argv, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_exit_codes(argv, as_json):
+    argv = (["--json"] if as_json else []) + list(argv)
+    code, err = _run(argv)
+    assert code in _EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err
+
+
+_json_value = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 2),
+        st.sampled_from(["", "()", "(())", "p1", "T&T", "AxId", "RCut", "(("]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2),
+        st.dictionaries(st.sampled_from(["lhs", "rhs", "rule"]), inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+
+
+def _slots(node, out):
+    """Every (container, key) in a decoded JSON value, preorder."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+_CERT = certificate_to_json(prove_lt(parse_worm("((()))"), parse_worm("(())")))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_check_on_mutated_certificates(data):
+    cert = json.loads(_CERT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(cert, [])
+        node, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_json_value)
+    text = json.dumps(cert)
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(_garbage) + text[cut:]
+    code, err = _run(["check", "-"], stdin=text)
+    assert code in _EXIT_CODES, (text, code, err)
+    assert "Traceback" not in err

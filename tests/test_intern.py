@@ -1,0 +1,122 @@
+"""Hash-consed terms: equal values are one object, and the table is weak."""
+
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bracketcalc
+from bracketcalc import (
+    OMEGA,
+    ONE,
+    TOP_WORM,
+    BracketWorm,
+    Sequent,
+    add,
+    certificate_from_json,
+    certificate_to_json,
+    iota,
+    iota_worm,
+    o_star,
+    parse_formula,
+    parse_ordinal,
+    parse_worm,
+    print_formula,
+    prove_lt,
+    tau,
+    to_nf,
+)
+from bracketcalc import _intern
+
+
+def _nested(depth):
+    w = TOP_WORM
+    for _ in range(depth):
+        w = BracketWorm((w,))
+    return w
+
+
+def test_deep_worms_built_separately_are_one_object():
+    a = _nested(5000)
+    b = _nested(5000)
+    assert a is b
+    assert a == b and hash(a) == hash(b)
+
+
+def test_equal_values_built_different_ways_are_identical():
+    assert parse_worm("(())()") is parse_worm(" ( (T) ) ( ) ")
+    assert parse_ordinal("w+1") is add(OMEGA, ONE)
+    w = parse_worm("(())()")
+    assert to_nf(w) is iota_worm(o_star(w)) is parse_worm("(())")
+    f = parse_formula("(())p1&[()T&p2]")
+    assert f is parse_formula(" ( ( ) ) p1 & [ ( ) & p2 ] ")
+    assert parse_formula(print_formula(f)) is f
+    assert tau(f) is tau(parse_formula(print_formula(f)))
+    assert iota(tau(f)) is parse_formula("(())p1&[()&p2]")
+
+
+def test_decoded_certificate_shares_the_provers_formulas():
+    cert = prove_lt(parse_worm("((()))"), parse_worm("(())()"))
+    decoded = certificate_from_json(certificate_to_json(cert))
+    assert decoded is not cert
+    stack = [(cert, decoded)]
+    while stack:
+        mine, theirs = stack.pop()
+        assert theirs.conclusion is mine.conclusion
+        assert theirs.conclusion.lhs is mine.conclusion.lhs
+        assert theirs.conclusion.rhs is mine.conclusion.rhs
+        stack.extend(zip(mine.premises, theirs.premises))
+        if mine.side is not None:
+            stack.append((mine.side, theirs.side))
+    assert decoded.conclusion is Sequent(cert.conclusion.lhs, cert.conclusion.rhs)
+
+
+_LIVE_NODES_RUN = """
+import gc
+from bracketcalc import G_witness, TOP_WORM, BracketWorm, parse_worm, step_iter
+from bracketcalc._intern import _TABLE
+
+gc.collect()
+before = len(_TABLE)
+G_witness(2, 10**4)
+step_iter(parse_worm("((()))"), 3000)
+deep = TOP_WORM
+for _ in range(200_000):
+    deep = BracketWorm((deep,))
+peak = len(_TABLE)
+del deep
+gc.collect()
+print(before, peak, len(_TABLE))
+"""
+
+
+def test_table_holds_only_live_nodes():
+    # a fresh interpreter: nodes that earlier tests' leftovers keep alive
+    # could die during the run and mask a leak
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIVE_NODES_RUN],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, peak, after = map(int, proc.stdout.split())
+    assert peak >= before + 199_990
+    assert after == before
+
+
+def test_dead_entry_does_not_drop_its_replacement():
+    class Node:
+        __slots__ = ("__weakref__",)
+
+    key = ("test-key",)
+    old = _intern.store(key, Node())
+    new = _intern.store(key, Node())
+    del old
+    gc.collect()
+    assert _intern.lookup(key) is new
+    del new
+    gc.collect()
+    assert key not in _intern._TABLE
