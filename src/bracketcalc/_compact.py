@@ -129,15 +129,23 @@ def _mk(items: list) -> CW:
 # --- conversion --------------------------------------------------------------
 
 
-def from_bracket(w: BracketWorm, _interned=None) -> CW:
-    if _interned is None:
-        _interned = {}
-    cached = _interned.get(w)
-    if cached is not None:
-        return cached
-    out = _mk([Item(True, from_bracket(e, _interned), 1) for e in w.entries])
-    _interned[w] = out
-    return out
+def from_bracket(w: BracketWorm) -> CW:
+    # post-order with an explicit stack, since worms nest thousands deep;
+    # equal entries share one compact worm
+    built: dict = {}
+    stack = [w]
+    while stack:
+        cur = stack[-1]
+        if cur in built:
+            stack.pop()
+            continue
+        pending = [e for e in cur.entries if e not in built]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        built[cur] = _mk([Item(True, built[e], 1) for e in cur.entries])
+    return built[w]
 
 
 def to_bracket(cw: CW, limit: int = 1 << 20):

@@ -3,8 +3,14 @@
 A certificate is a derivation tree tagged with one of nine rules.  The two
 monotonicity rules and the conjunction-absorption rule carry an embedded
 side derivation establishing the required ordering fact between bracket
-worms; the checker re-verifies those side derivations recursively, so a
-valid certificate is self-contained.
+worms; the checker re-verifies those side derivations too, so a valid
+certificate is self-contained.
+
+Side derivations recur, so a certificate is a shared DAG in memory.  The
+checker verifies each distinct node once; the JSON encoder prints each
+distinct formula once and still writes the v1 tree in full, and the
+decoder parses each distinct formula string once and rebuilds the sharing
+of equal subtrees.  Every memo lives for one call.
 
 Rule tags:
   AxId          phi |- phi
@@ -260,10 +266,18 @@ def _check_node(c: Certificate):
 
 
 def check_derivation(cert: Certificate) -> CheckResult:
-    """Validate a certificate; reports the first failing node in preorder."""
+    """Validate a certificate; reports the first failing node in preorder.
+
+    A node shared by several parents is checked once: when it comes up
+    again, its first occurrence and everything below it have passed.
+    """
+    seen = set()
     stack = [(cert, "root")]
     while stack:
         node, path = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         reason = _check_node(node)
         if reason is not None:
             return CheckResult(False, path, reason)
@@ -302,24 +316,39 @@ def decide_closed_geq(phi: BracketFormula, psi: BracketFormula) -> bool:
 
 
 def certificate_to_json_obj(cert: Certificate) -> dict:
-    out: dict = {}
-    stack = [(cert, out)]
+    """The v1 JSON tree of a certificate.
+
+    A node shared in the certificate becomes one dict referenced from each
+    parent, and each distinct formula is printed once, so building this
+    costs time in the distinct nodes; json.dumps still writes every
+    occurrence in full.
+    """
+    texts: dict = {}
+
+    def text(f: BracketFormula) -> str:
+        got = texts.get(f)
+        if got is None:
+            got = texts[f] = print_formula(f)
+        return got
+
+    slots = {cert: {}}
+    stack = [cert]
     while stack:
-        node, slot = stack.pop()
+        node = stack.pop()
+        children = node.premises if node.side is None else node.premises + (node.side,)
+        for child in children:
+            if child not in slots:
+                slots[child] = {}
+                stack.append(child)
+        slot = slots[node]
         slot["rule"] = node.rule
         slot["conclusion"] = {
-            "lhs": print_formula(node.conclusion.lhs),
-            "rhs": print_formula(node.conclusion.rhs),
+            "lhs": text(node.conclusion.lhs),
+            "rhs": text(node.conclusion.rhs),
         }
-        slot["premises"] = [dict() for _ in node.premises]
-        for p, ps in zip(node.premises, slot["premises"]):
-            stack.append((p, ps))
-        if node.side is None:
-            slot["side"] = None
-        else:
-            slot["side"] = {}
-            stack.append((node.side, slot["side"]))
-    return out
+        slot["premises"] = [slots[p] for p in node.premises]
+        slot["side"] = None if node.side is None else slots[node.side]
+    return slots[cert]
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -333,6 +362,11 @@ def _decode_formula(text) -> BracketFormula:
 
 
 def certificate_from_json_obj(obj) -> Certificate:
+    """Decode a v1 JSON tree; equal subtrees become one shared node.
+
+    Each distinct formula string is parsed once, and a node whose
+    conclusion, rule, premises and side match an earlier one is that node.
+    """
     # build bottom-up with an explicit stack so deep trees stay safe
     todo = [obj]
     order = []
@@ -353,18 +387,32 @@ def certificate_from_json_obj(obj) -> Certificate:
         todo.extend(premises)
         if side is not None:
             todo.append(side)
+    formulas: dict = {}
+
+    def formula(text) -> BracketFormula:
+        if not isinstance(text, str):
+            return _decode_formula(text)
+        got = formulas.get(text)
+        if got is None:
+            got = formulas[text] = _decode_formula(text)
+        return got
+
+    shared: dict = {}
     built: dict = {}
     for node, premises, side in reversed(order):
-        concl = Sequent(
-            _decode_formula(node["conclusion"]["lhs"]),
-            _decode_formula(node["conclusion"]["rhs"]),
-        )
-        built[id(node)] = Certificate(
-            concl,
+        key = (
+            Sequent(
+                formula(node["conclusion"]["lhs"]),
+                formula(node["conclusion"]["rhs"]),
+            ),
             node["rule"],
             tuple(built[id(p)] for p in premises),
             None if side is None else built[id(side)],
         )
+        cert = shared.get(key)
+        if cert is None:
+            cert = shared[key] = Certificate(*key)
+        built[id(node)] = cert
     return built[id(obj)]
 
 

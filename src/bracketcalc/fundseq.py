@@ -242,14 +242,10 @@ def a_seq(n: int) -> BracketWorm:
     """a(0) = top, a(1) = (), a(n+2) = three brackets around a(n)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return TOP_WORM
-    if n == 1:
-        return BracketWorm((TOP_WORM,))
-    inner = a_seq(n - 2)
-    w = BracketWorm((inner,))
-    w = BracketWorm((w,))
-    return BracketWorm((w,))
+    w = TOP_WORM if n % 2 == 0 else BracketWorm((TOP_WORM,))
+    for _ in range(3 * (n // 2)):
+        w = BracketWorm((w,))
+    return w
 
 
 def G_witness(m: int, budget: int):

@@ -13,9 +13,16 @@ result is trusted without being checkable.  The pieces:
     larger worm (each step certified the way the descent property itself
     is proved) until it meets the smaller one;
   * the public prove_le / prove_lt / derived_mono / conj_to_worm.
+
+STD, DTS, EQw and GTw memoise their certificates for the length of the
+outermost public call only: the calls nested in it share one memo, and
+nothing keeps a certificate alive once that call returns.
 """
 
 from __future__ import annotations
+
+import functools
+import threading
 
 from .calculus import (
     Certificate,
@@ -42,6 +49,30 @@ from .syntax import (
 from .worms import iota_worm, o_star, to_nf
 
 _FS_SEARCH_CAP = 200000
+
+
+class _Scope(threading.local):
+    # the memo of the public prover call running in this thread, or None
+    memo = None
+
+
+_SCOPE = _Scope()
+
+
+def _scoped(fn):
+    """Give fn a fresh memo unless it runs inside a call that has one."""
+
+    @functools.wraps(fn)
+    def call(*args):
+        if _SCOPE.memo is not None:
+            return fn(*args)
+        _SCOPE.memo = {}
+        try:
+            return fn(*args)
+        finally:
+            _SCOPE.memo = None
+
+    return call
 
 
 # --- node builders -----------------------------------------------------------
@@ -245,9 +276,6 @@ def _order_side(b: BracketWorm, a: BracketWorm) -> Certificate:
 
 # --- normal form certificates ---------------------------------------------------
 
-_STD_CACHE: dict = {}
-_DTS_CACHE: dict = {}
-
 
 def _first_zero(w: BracketWorm):
     for i, e in enumerate(w.entries):
@@ -267,13 +295,13 @@ def _min_entry_o(w: BracketWorm) -> Ordinal:
 
 def STD(w: BracketWorm) -> Certificate:
     """Plain certificate w |- to_nf(w)."""
-    got = _STD_CACHE.get(w)
+    memo = _SCOPE.memo
+    got = memo.get(("STD", w))
     if got is not None:
         return got
     n = to_nf(w)
     if w == n:
-        out = ax_id(wf(w))
-        _STD_CACHE[w] = out
+        out = memo[("STD", w)] = ax_id(wf(w))
         return out
     i = _first_zero(w)
     if i is not None:
@@ -281,7 +309,7 @@ def STD(w: BracketWorm) -> Certificate:
     else:
         out = _std_shifted(w, n)
     assert formula_worm(out.conclusion.rhs) == n
-    _STD_CACHE[w] = out
+    memo[("STD", w)] = out
     return out
 
 
@@ -337,13 +365,13 @@ def _std_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
 
 def DTS(w: BracketWorm) -> Certificate:
     """Plain certificate to_nf(w) |- w."""
-    got = _DTS_CACHE.get(w)
+    memo = _SCOPE.memo
+    got = memo.get(("DTS", w))
     if got is not None:
         return got
     n = to_nf(w)
     if w == n:
-        out = ax_id(wf(w))
-        _DTS_CACHE[w] = out
+        out = memo[("DTS", w)] = ax_id(wf(w))
         return out
     i = _first_zero(w)
     if i is not None:
@@ -351,7 +379,7 @@ def DTS(w: BracketWorm) -> Certificate:
     else:
         out = _dts_shifted(w, n)
     assert out.conclusion.lhs == wf(n) and formula_worm(out.conclusion.rhs) == w
-    _DTS_CACHE[w] = out
+    memo[("DTS", w)] = out
     return out
 
 
@@ -458,32 +486,29 @@ def lift_cert(mu: Ordinal, cert: Certificate) -> Certificate:
 
 # --- order provers ----------------------------------------------------------------
 
-_GT_CACHE: dict = {}
-_EQ_CACHE: dict = {}
-
 
 def EQw(a: BracketWorm, b: BracketWorm) -> Certificate:
     """Plain a |- b for worms of equal order type."""
     if a == b:
         return ax_id(wf(a))
-    got = _EQ_CACHE.get((a, b))
+    memo = _SCOPE.memo
+    got = memo.get(("EQ", a, b))
     if got is not None:
         return got
     assert cmp(o_star(a), o_star(b)) == 0
-    out = cut(STD(a), DTS(b))
-    _EQ_CACHE[(a, b)] = out
+    out = memo[("EQ", a, b)] = cut(STD(a), DTS(b))
     return out
 
 
 def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
     """a |- ()b for worms with the order type of b strictly below a's."""
-    got = _GT_CACHE.get((a, b))
+    memo = _SCOPE.memo
+    got = memo.get(("GT", a, b))
     if got is not None:
         return got
     assert cmp(o_star(b), o_star(a)) < 0
     if not b.entries:
-        out = gt_top(a)
-        _GT_CACHE[(a, b)] = out
+        out = memo[("GT", a, b)] = gt_top(a)
         return out
     ob = o_star(b)
     c = None
@@ -508,7 +533,7 @@ def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
             break
     if cur != b:
         c = cut(c, mono(TOP_WORM, TOP_WORM, EQw(cur, b), side_refl(TOP_WORM)))
-    _GT_CACHE[(a, b)] = c
+    memo[("GT", a, b)] = c
     return c
 
 
@@ -564,6 +589,7 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
 # --- public provers ------------------------------------------------------------
 
 
+@_scoped
 def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- ()b; requires b strictly below a."""
     if cmp(o_star(b), o_star(a)) >= 0:
@@ -571,6 +597,7 @@ def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     return GTw(a, b)
 
 
+@_scoped
 def prove_le(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- b or a |- ()b; requires b at-or-below a."""
     c = cmp(o_star(b), o_star(a))
@@ -769,6 +796,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     return c_worm, fwd, back
 
 
+@_scoped
 def conj_to_worm(phi: BracketFormula):
     """Normalize a variable-free formula to a single worm.
 

@@ -187,9 +187,14 @@ def test_criterion_5_calculus_harness():
                 best = o
         return best
 
+    # each distinct node once: certificates share subderivations
+    seen = set()
     stack = list(emitted)
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         lhs, rhs = node.conclusion.lhs, node.conclusion.rhs
         s_l, s_r = signature(tau(lhs)), signature(tau(rhs))
         if s_r and (not s_l or cmp(max_ord(s_l), max_ord(s_r)) < 0):

@@ -1,8 +1,10 @@
 """Derivation checking, order deciders, provers, and the search harness."""
 
+import io
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -31,7 +33,9 @@ from bracketcalc import (
     signature,
     tau,
 )
-from bracketcalc.calculus import worm_formula
+from bracketcalc import calculus
+from bracketcalc.calculus import _check_node, worm_formula
+from bracketcalc.cli import main
 from bracketcalc.syntax import TOP, TOP_WORM, Conj, Diamond, Var
 from corpus import corpus
 
@@ -342,9 +346,14 @@ def _collect_certs():
 
 
 def _iter_nodes(cert):
+    """Every distinct node of a certificate, once each."""
+    seen = set()
     stack = [cert]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         yield node
         stack.extend(node.premises)
         if node.side is not None:
@@ -398,6 +407,154 @@ def test_json_golden_axiom():
         == '{"conclusion": {"lhs": "()", "rhs": "T"}, "premises": [], '
         '"rule": "AxTop", "side": null}'
     )
+
+
+# --- sharing: each distinct node is encoded, decoded and checked once -------------
+
+_CHAIN6 = ("(((((())))))", "((((()()))))")
+
+
+def _tree_and_dag(cert):
+    """(tree nodes, distinct nodes) of a certificate."""
+    sizes = {}
+    stack = [(cert, False)]
+    while stack:
+        node, done = stack.pop()
+        kids = node.premises + (() if node.side is None else (node.side,))
+        if done:
+            sizes[node] = 1 + sum(sizes[k] for k in kids)
+        elif node not in sizes:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+    return sizes[cert], len(sizes)
+
+
+def test_decode_rebuilds_sharing():
+    cert = prove_lt(W(_CHAIN6[0]), W(_CHAIN6[1]))
+    text = certificate_to_json(cert)
+    decoded = certificate_from_json(text)
+    tree, dag = _tree_and_dag(cert)
+    assert tree > 5 * dag
+    decoded_tree, decoded_dag = _tree_and_dag(decoded)
+    assert decoded_tree == tree
+    assert decoded_dag <= dag
+    # compared first: pytest's diff of two 2 MB strings takes minutes
+    same = certificate_to_json(decoded) == text
+    assert same
+
+
+def test_checker_visits_each_distinct_node_once(monkeypatch):
+    decoded = certificate_from_json(
+        certificate_to_json(prove_lt(W(_CHAIN6[0]), W(_CHAIN6[1])))
+    )
+    visits = []
+
+    def counting(node):
+        visits.append(node)
+        return _check_node(node)
+
+    monkeypatch.setattr(calculus, "_check_node", counting)
+    assert check_derivation(decoded).valid
+    assert len(visits) == len(set(visits)) == _tree_and_dag(decoded)[1]
+
+
+def _tree_oracle(obj):
+    """Decode without sharing and check every occurrence in preorder: the
+    verdict as the CLI prints it."""
+
+    def build(node):
+        return Certificate(
+            Sequent(F(node["conclusion"]["lhs"]), F(node["conclusion"]["rhs"])),
+            node["rule"],
+            tuple(build(p) for p in node["premises"]),
+            None if node["side"] is None else build(node["side"]),
+        )
+
+    stack = [(build(obj), "root")]
+    while stack:
+        node, path = stack.pop()
+        reason = _check_node(node)
+        if reason is not None:
+            return "INVALID %s %s\n" % (path, reason)
+        kids = [(p, "%s.premises[%d]" % (path, i)) for i, p in enumerate(node.premises)]
+        if node.side is not None:
+            kids.append((node.side, path + ".side"))
+        stack.extend(reversed(kids))
+    return "VALID\n"
+
+
+def _json_nodes(obj):
+    """(path, node) for every node of a JSON certificate, preorder."""
+    stack = [("root", obj)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = [("%s.premises[%d]" % (path, i), p) for i, p in enumerate(node["premises"])]
+        if node["side"] is not None:
+            kids.append((path + ".side", node["side"]))
+        stack.extend(reversed(kids))
+
+
+def test_tampered_repeat_reports_the_tree_walks_first_failure(capsys, monkeypatch):
+    text = certificate_to_json(prove_lt(W("(((())))"), W("((()()))")))
+    # repeated subtrees with premises, most frequent first
+    where = {}
+    for path, node in _json_nodes(json.loads(text)):
+        if node["premises"]:
+            where.setdefault(json.dumps(node, sort_keys=True), []).append(path)
+    repeats = sorted((p for p in where.values() if len(p) > 1), key=len, reverse=True)
+    assert repeats
+    checked = 0
+    for paths in repeats[:5]:
+        for target in (paths[0], paths[-1]):
+            obj = json.loads(text)
+            node = dict(_json_nodes(obj))[target]
+            node["rule"] = "AxTop"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+            assert main(["check", "-"]) == 1
+            out = capsys.readouterr().out
+            assert out == _tree_oracle(obj)
+            assert out.startswith("INVALID %s " % target)
+            checked += 1
+    assert checked >= 4
+
+
+def _tree_encoder(cert):
+    """The encoder before sharing: one dict and two printed formulas per
+    tree node."""
+    out = {}
+    stack = [(cert, out)]
+    while stack:
+        node, slot = stack.pop()
+        slot["rule"] = node.rule
+        slot["conclusion"] = {
+            "lhs": print_formula(node.conclusion.lhs),
+            "rhs": print_formula(node.conclusion.rhs),
+        }
+        slot["premises"] = [dict() for _ in node.premises]
+        stack.extend(zip(node.premises, slot["premises"]))
+        slot["side"] = None if node.side is None else {}
+        if node.side is not None:
+            stack.append((node.side, slot["side"]))
+    return json.dumps(out, sort_keys=True)
+
+
+def test_shared_encoder_matches_the_tree_encoder():
+    ws = corpus(4)
+    encoded = 0
+    for a in ws:
+        for b in ws:
+            if decide_lt(a, b):
+                cert = prove_lt(a, b)
+                same = certificate_to_json(cert) == _tree_encoder(cert)
+                assert same, (a, b)
+                encoded += 1
+            if decide_le(a, b):
+                cert = prove_le(a, b)
+                same = certificate_to_json(cert) == _tree_encoder(cert)
+                assert same, (a, b)
+                encoded += 1
+    assert encoded > 500
 
 
 # --- bounded forward search: soundness against the deciders ---------------------------

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -208,6 +209,16 @@ def test_growth_budget_below_the_limit_still_exhausts(capsys):
     )
 
 
+def test_deep_growth_start_builds_without_recursion(capsys):
+    # a(3000) nests 4500 levels deep.  Any longer descent from it (from
+    # --budget 2 on) still exceeds the recursion limit in the compact
+    # engine's entry step and exits 4
+    assert invoke(capsys, "growth", "G", "3000", "--budget", "1")[:2] == (
+        3,
+        "BudgetExhausted 1\n",
+    )
+
+
 def test_check_unreadable_file(capsys, tmp_path):
     binary = tmp_path / "cert.bin"
     binary.write_bytes(b"\xff\xfe")
@@ -338,6 +349,18 @@ def _slots(node, out):
     return out
 
 
+def _nodes(cert):
+    """Every certificate node of an unmutated JSON certificate, preorder."""
+    out, stack = [], [cert]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node["premises"]))
+        if node["side"] is not None:
+            stack.append(node["side"])
+    return out
+
+
 _CERT = certificate_to_json(prove_lt(parse_worm("((()))"), parse_worm("(())")))
 
 
@@ -345,6 +368,15 @@ _CERT = certificate_to_json(prove_lt(parse_worm("((()))"), parse_worm("(())")))
 @settings(max_examples=150, deadline=None)
 def test_fuzz_check_on_mutated_certificates(data):
     cert = json.loads(_CERT)
+    # copy subtrees over others first, so that the mutations below leave
+    # equal and nearly equal subtrees for the decoder to share
+    for _ in range(data.draw(st.integers(0, 2))):
+        nodes = _nodes(cert)
+        pick = st.integers(0, len(nodes) - 1)
+        src, dst = nodes[data.draw(pick)], nodes[data.draw(pick)]
+        copied = copy.deepcopy(src)
+        dst.clear()
+        dst.update(copied)
     for _ in range(data.draw(st.integers(1, 3))):
         slots = _slots(cert, [])
         node, key = slots[data.draw(st.integers(0, len(slots) - 1))]
