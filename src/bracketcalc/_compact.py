@@ -198,34 +198,45 @@ def split_below(items, threshold: Ordinal):
 
     Returns (prefix items, suffix items or None when no entry is below,
     least entry order type of the prefix or None when the prefix is empty).
+    One pass down the split path: a repeated subsequence holding the split
+    point is opened in place, and what follows it at each level is kept
+    aside until the innermost level closes the suffix.
     """
+    prefix: list = []
+    outer: list = []  # per opened level: the items following it there
     low_min = None
-    for i, it in enumerate(items):
-        child = it.child
-        if it.is_run:
-            low = child._o
-            if low is None:
-                low = o_cw(child)
+    while True:
+        for i, it in enumerate(items):
+            child = it.child
+            if it.is_run:
+                low = child._o
+                if low is None:
+                    low = o_cw(child)
+            else:
+                low = child._min_o
+                if low is None:
+                    low = child.min_o()
+            if cmp(low, threshold) >= 0:
+                if low_min is None or cmp(low, low_min) < 0:
+                    low_min = low
+                continue
+            prefix.extend(items[:i])
+            if it.is_run:
+                # the very first copy is the split point
+                suffix = list(items[i:])
+                for rest in reversed(outer):
+                    suffix.extend(rest)
+                return prefix, suffix, low_min
+            rest = [Item(False, child, it.count - 1)] if it.count > 1 else []
+            rest.extend(items[i + 1:])
+            outer.append(rest)
+            items = child.items
+            break
         else:
-            low = child._min_o
-            if low is None:
-                low = child.min_o()
-        if cmp(low, threshold) >= 0:
-            if low_min is None or cmp(low, low_min) < 0:
-                low_min = low
-            continue
-        prefix = list(items[:i])
-        if it.is_run:
-            # the very first copy is the split point
-            return prefix, list(items[i:]), low_min
-        sub_prefix, suffix, sub_min = split_below(child.items, threshold)
-        if it.count > 1:
-            suffix.append(Item(False, child, it.count - 1))
-        suffix.extend(items[i + 1:])
-        if sub_min is not None and (low_min is None or cmp(sub_min, low_min) < 0):
-            low_min = sub_min
-        return prefix + sub_prefix, suffix, low_min
-    return list(items), None, low_min
+            # an opened subsequence always holds an entry below threshold
+            assert not outer
+            prefix.extend(items)
+            return prefix, None, low_min
 
 
 # --- order types ---------------------------------------------------------------
@@ -395,6 +406,14 @@ def _box2(a: CW, b: CW) -> CW:
     return CW((Item(False, a, 1), Item(False, b, 1)))
 
 
+def snapshot_cw(active: tuple, cold) -> CW:
+    """The compact worm of a runner state: its active items and its cold
+    (segment, weight) pairs, nearest last."""
+    # active items are live and cold segments nonempty, which is all a
+    # compact worm needs, so this skips the _mk pass
+    return CW(active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
+
+
 class CompactRunner:
     """Budgeted step-down iteration over compact worms."""
 
@@ -412,10 +431,7 @@ class CompactRunner:
         return not self.active and not self.cold
 
     def as_cw(self) -> CW:
-        # active items are live and cold segments nonempty, which is all a
-        # compact worm needs, so a snapshot skips the _mk pass
-        cold = tuple(Item(False, seg, 1) for seg, _w in reversed(self.cold))
-        return CW(tuple(self.active) + cold)
+        return snapshot_cw(tuple(self.active), self.cold)
 
     @property
     def length(self) -> int:

@@ -236,8 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = None  # built by the first main call, so importing stays cheap
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except RuntimeError as err:

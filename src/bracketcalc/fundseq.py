@@ -99,10 +99,11 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
     The first and last `window` worms are recorded, provided they have at
     most _DENSE_LIMIT entries; step counts and termination are always
     exact.  fs_bracket steps the head window, at most `window` calls.  Every
-    later step runs on the run-length compressed engine, which keeps a
-    snapshot of its last `window` states and materializes them once, at the
-    end, so budgets in the millions stay feasible while the worms grow
-    astronomically long.
+    later step runs on the run-length compressed engine, so budgets in the
+    millions stay feasible while the worms grow astronomically long.  Its
+    last `window` states are kept as snapshots, two tuples each that share
+    the engine's items; at the end the tail is materialized newest first,
+    and a snapshot becomes a compact worm only when that walk reaches it.
     """
     if budget < 0 or window < 0:
         raise ValueError("budget and window must be >= 0")
@@ -119,22 +120,24 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         head.append(cur)
     tail = []
     if not terminated and steps < budget:
-        from ._compact import CompactRunner, to_bracket
+        from ._compact import CompactRunner, snapshot_cw, to_bracket
 
         # the runner replays the head from the start worm: its state then
         # stays run-length compressed, where from_bracket(cur) is one flat
         # item list that later steps copy and rescan
         runner = CompactRunner(a)
         runner.run(steps)
+        # a snapshot is the runner's state as two tuples, which share every
+        # item and segment with it; only the tail walk builds compact worms
         recent: deque = deque(maxlen=window)
         while not runner.finished and runner.steps < budget:
             runner.step()
-            recent.append(runner.as_cw())
+            recent.append((tuple(runner.active), tuple(runner.cold)))
         terminated = runner.finished
         steps = runner.steps
         # the tail is the contiguous run of small worms that ends the trace
-        for cw in reversed(recent):
-            worm = to_bracket(cw, limit=_DENSE_LIMIT)
+        for snap in reversed(recent):
+            worm = to_bracket(snapshot_cw(*snap), limit=_DENSE_LIMIT)
             if worm is None:
                 break
             tail.append(worm)

@@ -188,11 +188,6 @@ def nat(n: int) -> Ordinal:
     return Ordinal((), n)
 
 
-def to_int(x: Ordinal):
-    """The integer value of a finite ordinal, else None."""
-    return x.fin if not x.terms else None
-
-
 def is_principal(x: Ordinal) -> bool:
     """True iff x is additively indecomposable and nonzero."""
     if x.terms:

@@ -222,36 +222,74 @@ def parse_formula(text: str) -> BracketFormula:
 # --- printing --------------------------------------------------------------
 
 
-def _print_entries(w: BracketWorm) -> str:
-    return "".join(
-        "(%s)" % (_print_entries(e) if e.entries else "") for e in w.entries
-    )
+def _entry_text(w: BracketWorm) -> str:
+    """The text "(...)" of w as one entry, built with an explicit stack so
+    that nesting depth is not bounded by the recursion limit."""
+    out: list = []
+    emit = out.append
+    stack = [w]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        e = pop()
+        if e.__class__ is str:
+            emit(e)
+            continue
+        # a chain of single entries opens and closes as one run
+        opens = 1
+        entries = e.entries
+        while len(entries) == 1:
+            opens += 1
+            entries = entries[0].entries
+        if entries:
+            emit("(" * opens)
+            push(")" * opens)
+            extend(reversed(entries))
+        elif opens == 1:
+            emit("()")
+        else:
+            emit("(" * opens + ")" * opens)
+    return "".join(out)
 
 
 def print_worm(w: BracketWorm) -> str:
     if not w.entries:
         return "T"
-    return _print_entries(w)
+    # step traces repeat a few distinct entries thousands of times: each
+    # distinct entry is emitted once per call.  Nested entries are not
+    # memoised, since their texts would cost quadratic space on deep chains
+    texts = dict.fromkeys(w.entries)
+    for e in texts:
+        texts[e] = _entry_text(e)
+    return "".join(map(texts.__getitem__, w.entries))
 
 
 def print_formula(f: BracketFormula) -> str:
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Var):
-        return "p%d" % f.index
-    if isinstance(f, Conj):
-        right = print_formula(f.right)
-        if isinstance(f.right, Conj):
-            right = "[%s]" % right
-        return "%s&%s" % (print_formula(f.left), right)
-    if isinstance(f, Diamond):
-        label = "(%s)" % (_print_entries(f.label) if f.label.entries else "")
-        if isinstance(f.body, Top):
-            return label
-        if isinstance(f.body, Conj):
-            return "%s[%s]" % (label, print_formula(f.body))
-        return label + print_formula(f.body)
-    raise TypeError(f)
+    # an explicit stack of formulas still to print and literal text
+    out: list = []
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Diamond):
+            out.append(_entry_text(x.label))
+            body = x.body
+            if isinstance(body, Conj):
+                stack += ("]", body, "[")
+            elif not isinstance(body, Top):
+                stack.append(body)
+        elif isinstance(x, Conj):
+            if isinstance(x.right, Conj):
+                stack += ("]", x.right, "&[", x.left)
+            else:
+                stack += (x.right, "&", x.left)
+        elif isinstance(x, Var):
+            out.append("p%d" % x.index)
+        elif isinstance(x, Top):
+            out.append("T")
+        else:
+            raise TypeError(x)
+    return "".join(out)
 
 
 # --- structural measures ---------------------------------------------------

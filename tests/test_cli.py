@@ -192,7 +192,7 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
     "argv",
     [
         ("ord", "(" * 400 + ")" * 400),
-        ("fmt", "&".join(["p1"] * 3000)),
+        ("fmt", "[" * 3000 + "p1" + "]" * 3000),
         ("growth", "F", "3", "--budget", "48"),
     ],
 )
@@ -200,6 +200,12 @@ def test_implementation_limits_exit_4(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: limit exceeded") and "Traceback" not in err
+
+
+def test_fmt_prints_long_conjunctions(capsys):
+    # the formula printer is iterative; the parser reads `&` in a loop
+    conj = "&".join(["p1"] * 3000)
+    assert invoke(capsys, "fmt", conj) == (0, conj + "\n", "")
 
 
 def test_growth_budget_below_the_limit_still_exhausts(capsys):
@@ -237,6 +243,55 @@ def test_cli_import_leaves_compact_engine_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_PARSER_SEQUENCE = (
+    ("--json", "step", "(()())", "--budget", "40", "--window", "4"),
+    ("step", "((()))", "--budget", "30", "--window", "3"),
+    ("step", "()", "--budget", "-1"),
+    ("growth", "G", "2", "--budget", "50"),
+    ("nosuchcommand",),
+    ("--json", "growth", "F", "2"),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    from bracketcalc import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_outcome(capsys, argv) for argv in _PARSER_SEQUENCE]
+    assert len(built) == 1
+    fresh = []
+    for argv in _PARSER_SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_outcome(capsys, argv))
+    assert len(built) == 1 + len(_PARSER_SEQUENCE)
+    assert reused == fresh
+    assert [r[0] for r in reused] == [3, 3, 2, 3, 2, 0]
+    assert "usage: bracketcalc" in reused[2][2] and "must be >= 0" in reused[2][2]
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import bracketcalc.cli as c; print(c._PARSER is None)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 # --- fuzzing: every input reaches a documented exit code ----------------------

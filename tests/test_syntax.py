@@ -1,5 +1,7 @@
 """Bracket syntax: parsing, printing, nesting, and the worm enumerator."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,9 @@ from bracketcalc import (
     parse_worm,
     print_formula,
     print_worm,
+    step_iter,
 )
-from corpus import enumerate_worms, worms_with_pairs
+from corpus import corpus, enumerate_worms, worms_with_pairs
 
 
 def test_parse_worm_examples():
@@ -144,6 +147,89 @@ def random_formula(draw, depth=3):
 @settings(max_examples=300, deadline=None)
 def test_formula_round_trip_random(f):
     assert parse_formula(print_formula(f)) == f
+
+
+# --- printing against the recursive printers ------------------------------------
+
+
+def _entries_oracle(w):
+    return "".join("(%s)" % _entries_oracle(e) for e in w.entries)
+
+
+def _worm_oracle(w):
+    return _entries_oracle(w) if w.entries else "T"
+
+
+def _formula_oracle(f):
+    if isinstance(f, Top):
+        return "T"
+    if isinstance(f, Var):
+        return "p%d" % f.index
+    if isinstance(f, Conj):
+        right = _formula_oracle(f.right)
+        if isinstance(f.right, Conj):
+            right = "[%s]" % right
+        return "%s&%s" % (_formula_oracle(f.left), right)
+    label = "(%s)" % _entries_oracle(f.label)
+    if isinstance(f.body, Top):
+        return label
+    if isinstance(f.body, Conj):
+        return "%s[%s]" % (label, _formula_oracle(f.body))
+    return label + _formula_oracle(f.body)
+
+
+def test_print_worm_matches_recursive_oracle():
+    for w in corpus(7):
+        assert print_worm(w) == _worm_oracle(w)
+    # the step workload's worms: long windows of a few distinct entries
+    traces = printed = 0
+    for a in corpus(5):
+        if not a.entries or nesting_worm(a) > 2:
+            continue
+        tr = step_iter(a, 6000)
+        for w in tr.head + tr.tail:
+            assert print_worm(w) == _worm_oracle(w), _worm_oracle(a)
+            printed += 1
+        traces += 1
+    assert traces == 31 and printed > 900
+
+
+def test_print_formula_matches_recursive_oracle():
+    worms = list(enumerate_worms(3))
+    for f in _formulas(worms, 2):
+        assert print_formula(f) == _formula_oracle(f)
+
+
+def _chain(depth, *siblings):
+    w = TOP_WORM
+    for _ in range(depth):
+        w = BracketWorm((w,) + siblings)
+    return w
+
+
+def test_print_deep_worm():
+    # far beyond the recursion limit, which the recursive printer hit
+    w = _chain(200_000)
+    text = print_worm(w)
+    assert len(text) == 400_000
+    assert text == "(" * 200_000 + ")" * 200_000
+    formula = print_formula(Diamond(w, Var(1)))
+    assert formula == "(" * 200_001 + ")" * 200_001 + "p1"
+
+
+@pytest.mark.parametrize("siblings", [(), (TOP_WORM,)])
+def test_print_memory_is_linear_in_the_output(siblings):
+    # a printer that kept the text of every nested entry would hold
+    # quadratic space on these chains: about 20 000**2 characters
+    w = _chain(20_000, *siblings)
+    tracemalloc.start()
+    try:
+        text = print_worm(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 20_000 * (2 + 2 * len(siblings))
+    assert peak <= 16 * len(text)
 
 
 # --- nesting subformula property ---------------------------------------------
