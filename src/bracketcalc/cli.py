@@ -3,8 +3,10 @@
 Commands: fmt, ord, cmp, nf, prove, check, step, fs, growth.
 Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
-limit exceeded (nesting too deep for the recursive code, or a trace the
-compressed engine cannot evaluate).
+limit exceeded (nesting too deep for the code that still recurses once per
+level: o_star, to_nf, the ordinal parser and print_ordinal; or a trace the
+compressed engine cannot evaluate).  Worms and formulas parse and print at
+any depth.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .calculus import (
     check_derivation,
 )
 from .fundseq import F_witness, Found, G_witness, fs_veblen, step_iter
-from .ordinals import OrdinalParseError, cmp, parse_ordinal, print_ordinal
+from .ordinals import cmp, parse_ordinal, print_ordinal
 from .proving import prove_le, prove_lt
 from .syntax import ParseError, parse_formula, parse_worm, print_formula, print_worm
 from .worms import o_star, to_nf
@@ -38,31 +40,20 @@ def _parse_error(err) -> int:
 
 
 def cmd_fmt(args) -> int:
-    try:
-        f = parse_formula(args.text)
-    except ParseError as err:
-        return _parse_error(err)
-    out = print_formula(f)
+    out = print_formula(parse_formula(args.text))
     print(json.dumps({"formula": out}) if args.json else out)
     return EXIT_OK
 
 
 def cmd_ord(args) -> int:
-    try:
-        w = parse_worm(args.worm)
-    except ParseError as err:
-        return _parse_error(err)
-    out = print_ordinal(o_star(w))
+    out = print_ordinal(o_star(parse_worm(args.worm)))
     print(json.dumps({"ordinal": out}) if args.json else out)
     return EXIT_OK
 
 
 def cmd_cmp(args) -> int:
-    try:
-        a = parse_worm(args.a)
-        b = parse_worm(args.b)
-    except ParseError as err:
-        return _parse_error(err)
+    a = parse_worm(args.a)
+    b = parse_worm(args.b)
     c = cmp(o_star(a), o_star(b))
     out = {-1: "LT", 0: "EQ", 1: "GT"}[c]
     print(json.dumps({"order": out}) if args.json else out)
@@ -70,21 +61,14 @@ def cmd_cmp(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    try:
-        w = parse_worm(args.worm)
-    except ParseError as err:
-        return _parse_error(err)
-    out = print_worm(to_nf(w))
+    out = print_worm(to_nf(parse_worm(args.worm)))
     print(json.dumps({"nf": out}) if args.json else out)
     return EXIT_OK
 
 
 def cmd_prove(args) -> int:
-    try:
-        a = parse_worm(args.a)
-        b = parse_worm(args.b)
-    except ParseError as err:
-        return _parse_error(err)
+    a = parse_worm(args.a)
+    b = parse_worm(args.b)
     try:
         cert = prove_lt(a, b) if args.mode == "lt" else prove_le(a, b)
     except NotProvable as err:
@@ -117,10 +101,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_step(args) -> int:
-    try:
-        w = parse_worm(args.worm)
-    except ParseError as err:
-        return _parse_error(err)
+    w = parse_worm(args.worm)
     trace = step_iter(w, args.budget, window=args.window)
     if args.json:
         print(trace.to_json())
@@ -142,11 +123,7 @@ def cmd_step(args) -> int:
 
 
 def cmd_fs(args) -> int:
-    try:
-        xi = parse_ordinal(args.ordinal)
-    except OrdinalParseError as err:
-        return _parse_error(err)
-    out = print_ordinal(fs_veblen(xi, args.x))
+    out = print_ordinal(fs_veblen(parse_ordinal(args.ordinal), args.x))
     print(json.dumps({"ordinal": out}) if args.json else out)
     return EXIT_OK
 
@@ -246,6 +223,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as err:
+        return _parse_error(err)
     except RuntimeError as err:
         # RecursionError, the compact engine's CompactionLimit, and the
         # prover's exhausted fundamental sequence search

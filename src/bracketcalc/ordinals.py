@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._intern import lookup, store
+from .syntax import ParseError, Scanner
 
 
 class NotLeftSubtractable(ValueError):
@@ -280,76 +281,44 @@ def pred(x: Ordinal) -> Ordinal:
 # and phi(...) terms only.
 
 
-class OrdinalParseError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__("%s at offset %d" % (message, offset))
-        self.offset = offset
+OrdinalParseError = ParseError  # one error class for every parser
 
 
-class _OrdParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _sum(s: Scanner) -> Ordinal:
+    val = _term(s)
+    while s.next() == "+":
+        s.pos += 1
+        val = add(val, _term(s))
+    return val
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise OrdinalParseError("expected %r" % ch, self.pos)
-        self.pos += 1
-
-    def parse_nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise OrdinalParseError("expected digit", start)
-        return int(self.text[start:self.pos])
-
-    def parse_term(self) -> Ordinal:
-        c = self.peek()
-        if c.isdigit():
-            return nat(self.parse_nat())
-        if c == "w":
-            self.pos += 1
-            if self.peek() == "^":
-                self.pos += 1
-                return omega_pow(self.parse_term())
-            return OMEGA
-        if c == "p":
-            start = self.pos
-            if self.text[self.pos:self.pos + 4] != "phi(":
-                raise OrdinalParseError("expected 'phi('", start)
-            self.pos += 4
-            a = self.parse_sum()
-            self.expect(",")
-            b = self.parse_sum()
-            self.expect(")")
-            return veblen(a, b)
-        raise OrdinalParseError("expected ordinal term", self.pos)
-
-    def parse_sum(self) -> Ordinal:
-        val = self.parse_term()
-        while self.peek() == "+":
-            self.pos += 1
-            val = add(val, self.parse_term())
-        return val
+def _term(s: Scanner) -> Ordinal:
+    c = s.next()
+    if c.isdecimal():
+        return nat(s.number("digit"))
+    if c == "w":
+        s.pos += 1
+        if s.next() == "^":
+            s.pos += 1
+            return omega_pow(_term(s))
+        return OMEGA
+    if c == "p":
+        if not s.text.startswith("phi(", s.pos):
+            s.fail("expected 'phi('")
+        s.pos += 4
+        a = _sum(s)
+        s.expect(",")
+        b = _sum(s)
+        s.expect(")")
+        return veblen(a, b)
+    s.fail("expected ordinal term")
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    p = _OrdParser(text)
-    val = p.parse_sum()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise OrdinalParseError("trailing input", p.pos)
-    return val
+    # recursive descent: printing, comparing and stepping a deep ordinal
+    # recurse once per level anyway
+    s = Scanner(text)
+    return s.finish(_sum(s))
 
 
 def print_ordinal(x: Ordinal) -> str:

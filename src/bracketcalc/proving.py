@@ -293,6 +293,32 @@ def _min_entry_o(w: BracketWorm) -> Ordinal:
     return best
 
 
+def _nf_entries(w: BracketWorm) -> BracketWorm:
+    """w with every entry in normal form."""
+    return BracketWorm(tuple(to_nf(e) for e in w.entries))
+
+
+def _lowered(mu: Ordinal, w: BracketWorm) -> BracketWorm:
+    """w with every entry's order type lowered by mu, in canonical form."""
+    return BracketWorm(tuple(iota_worm(left_sub(mu, o_star(e))) for e in w.entries))
+
+
+def _bridge_std(w: BracketWorm, w0: BracketWorm) -> Certificate:
+    """Plain w |- w0 for w0 = _nf_entries(w), entry by entry."""
+    c = ax_id(TOP)
+    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
+        c = mono(e, e0, c, side_refl(e) if e == e0 else STD(e))
+    return c
+
+
+def _bridge_dts(w: BracketWorm, w0: BracketWorm) -> Certificate:
+    """Plain w0 |- w for w0 = _nf_entries(w), entry by entry."""
+    c = ax_id(TOP)
+    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
+        c = mono(e0, e, c, side_refl(e) if e == e0 else DTS(e))
+    return c
+
+
 def STD(w: BracketWorm) -> Certificate:
     """Plain certificate w |- to_nf(w)."""
     memo = _SCOPE.memo
@@ -348,19 +374,12 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
 
 def _std_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
     mu = _min_entry_o(w)
-    w0 = BracketWorm(tuple(to_nf(e) for e in w.entries))
-    hat = BracketWorm(
-        tuple(iota_worm(left_sub(mu, o_star(e))) for e in w.entries)
-    )
-    lifted = lift_cert(mu, STD(hat))
+    w0 = _nf_entries(w)
+    lifted = lift_cert(mu, STD(_lowered(mu, w)))
     assert lifted.conclusion.lhs == wf(w0)
     if w == w0:
         return lifted
-    bridge = ax_id(TOP)
-    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-        side = side_refl(e) if e == e0 else STD(e)
-        bridge = mono(e, e0, bridge, side)
-    return cut(bridge, lifted)
+    return cut(_bridge_std(w, w0), lifted)
 
 
 def DTS(w: BracketWorm) -> Certificate:
@@ -403,19 +422,12 @@ def _dts_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
 
 def _dts_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
     mu = _min_entry_o(w)
-    w0 = BracketWorm(tuple(to_nf(e) for e in w.entries))
-    hat = BracketWorm(
-        tuple(iota_worm(left_sub(mu, o_star(e))) for e in w.entries)
-    )
-    lifted = lift_cert(mu, DTS(hat))
+    w0 = _nf_entries(w)
+    lifted = lift_cert(mu, DTS(_lowered(mu, w)))
     assert formula_worm(lifted.conclusion.rhs) == w0
     if w0 == w:
         return lifted
-    bridge = ax_id(TOP)
-    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-        side = side_refl(e) if e == e0 else DTS(e)
-        bridge = mono(e0, e, bridge, side)
-    return cut(lifted, bridge)
+    return cut(lifted, _bridge_dts(w, w0))
 
 
 # --- certificate lifting ---------------------------------------------------------
@@ -720,38 +732,23 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     ia, ib = split_at(a), split_at(b)
     p, r = _slice(a, 0, ia), _slice(a, ia)
     q, s = _slice(b, 0, ib), _slice(b, ib)
-    p0 = BracketWorm(tuple(to_nf(e) for e in p.entries))
-    q0 = BracketWorm(tuple(to_nf(e) for e in q.entries))
-    p_hat = BracketWorm(tuple(iota_worm(left_sub(alpha, o_star(e))) for e in p.entries))
-    q_hat = BracketWorm(tuple(iota_worm(left_sub(alpha, o_star(e))) for e in q.entries))
-    m_hat, f_hat, b_hat = merge_worms(p_hat, q_hat)
+    p0, q0 = _nf_entries(p), _nf_entries(q)
+    m_hat, f_hat, b_hat = merge_worms(_lowered(alpha, p), _lowered(alpha, q))
     m = BracketWorm(tuple(iota_worm(add(alpha, o_star(e))) for e in m_hat.entries))
     f_lift = lift_cert(alpha, f_hat)
     b_lift = lift_cert(alpha, b_hat)
     assert f_lift.conclusion.lhs == Conj(wf(p0), wf(q0))
     assert formula_worm(f_lift.conclusion.rhs) == m
 
-    def bridge_fwd(w, w0):
-        c = ax_id(TOP)
-        for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-            c = mono(e, e0, c, side_refl(e) if e == e0 else STD(e))
-        return c
-
-    def bridge_back(w, w0):
-        c = ax_id(TOP)
-        for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-            c = mono(e0, e, c, side_refl(e) if e == e0 else DTS(e))
-        return c
-
     def proj_side(v, u):
         return _order_side(v, u) if cmp(o_star(v), o_star(u)) == 0 else _strict_side(v, u)
 
     c_p = cut(ax_conj_l(fa, fb), drop_suffix(a, ia))
     if p != p0:
-        c_p = cut(c_p, bridge_fwd(p, p0))
+        c_p = cut(c_p, _bridge_std(p, p0))
     c_q = cut(ax_conj_r(fa, fb), drop_suffix(b, ib))
     if q != q0:
-        c_q = cut(c_q, bridge_fwd(q, q0))
+        c_q = cut(c_q, _bridge_std(q, q0))
     c_m = cut(conj_intro(c_p, c_q), f_lift)
 
     k, fk, bk = merge_worms(r, s)
@@ -772,7 +769,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     def back_side(w, w0, proj_ax):
         piece = cut(d_pq, proj_ax)
         if w != w0:
-            piece = cut(piece, bridge_back(w, w0))
+            piece = cut(piece, _bridge_dts(w, w0))
         return piece
 
     back_p = back_side(p, p0, ax_conj_l(wf(p0), wf(q0)))

@@ -14,6 +14,8 @@ equality and hashing are identity.
 
 from __future__ import annotations
 
+import re
+
 from ._intern import lookup, store
 
 
@@ -118,105 +120,148 @@ class Diamond(BracketFormula):
 
 # --- parsing ---------------------------------------------------------------
 
+_SPACE = re.compile(r"\s*")  # \s is str.isspace
+_DECIMALS = re.compile(r"\d*")  # \d is str.isdecimal, the digits int() reads
 
-class _Parser:
+
+class Scanner:
+    """Text and a position in it, for the worm, formula and ordinal parsers.
+    Whitespace between tokens is skipped; errors carry the offset reached."""
+
+    __slots__ = ("text", "pos")
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def next(self) -> str:
+        """Skip whitespace and return the next character, "" at the end."""
+        text, pos = self.text, self.pos
+        if text[pos:pos + 1].isspace():
+            pos = self.pos = _SPACE.match(text, pos).end()
+        return text[pos:pos + 1]
 
     def fail(self, message: str):
         raise ParseError(message, self.pos)
 
-    def parse_group(self) -> BracketWorm:
-        # one "( body )" group; empty body is top
-        assert self.peek() == "("
+    def expect(self, ch: str):
+        if self.next() != ch:
+            self.fail("expected %r" % ch)
         self.pos += 1
-        if self.peek() == ")":
-            self.pos += 1
-            return TOP_WORM
-        inner = self.parse_worm_body()
-        if self.peek() != ")":
-            self.fail("expected ')'")
-        self.pos += 1
-        return inner
 
-    def parse_worm_body(self) -> BracketWorm:
-        c = self.peek()
-        if c == "T":
-            self.pos += 1
-            return TOP_WORM
-        if c != "(":
-            self.fail("expected worm")
-        entries = []
-        while self.peek() == "(":
-            entries.append(self.parse_group())
-        return BracketWorm(tuple(entries))
+    def number(self, what: str) -> int:
+        """The decimal run right at the position, without skipping space."""
+        start = self.pos
+        end = self.pos = _DECIMALS.match(self.text, start).end()
+        if end == start:
+            self.fail("expected " + what)
+        try:
+            return int(self.text[start:end])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number too long", start) from None
 
-    def parse_atom(self) -> BracketFormula:
-        c = self.peek()
-        if c == "T":
-            self.pos += 1
-            return TOP
-        if c == "p":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise ParseError("expected variable index", start)
-            index = int(self.text[start:self.pos])
-            if index < 1:
-                raise ParseError("variable index must be positive", start)
-            return Var(index)
-        if c == "[":
-            self.pos += 1
-            inner = self.parse_formula_body()
-            if self.peek() != "]":
-                self.fail("expected ']'")
-            self.pos += 1
-            return inner
+    def finish(self, value):
+        if self.next():
+            self.fail("trailing input")
+        return value
+
+
+def _worm_body(s: Scanner) -> BracketWorm:
+    """`T` or a run of groups; a group is `()` (top) or `(` body `)`."""
+    stack = []  # the entries of each enclosing body, innermost last
+    entries = []  # the entries of the innermost body
+    while True:
+        c = s.next()
         if c == "(":
-            label = self.parse_group()
-            nxt = self.peek()
-            if nxt in ("T", "p", "(", "["):
-                body = self.parse_atom()
+            s.pos += 1
+            if s.next() == ")":
+                s.pos += 1
+                entries.append(TOP_WORM)
             else:
-                body = TOP
-            return Diamond(label, body)
-        self.fail("expected formula")
+                stack.append(entries)
+                entries = []
+            continue
+        if entries:
+            w = BracketWorm(tuple(entries))
+        elif c == "T":
+            s.pos += 1
+            w = TOP_WORM
+        else:
+            s.fail("expected worm")
+        # w is a whole body: it ends the worm, or the group around it
+        if not stack:
+            return w
+        s.expect(")")
+        entries = stack.pop()
+        entries.append(w)
 
-    def parse_formula_body(self) -> BracketFormula:
-        val = self.parse_atom()
-        while self.peek() == "&":
-            self.pos += 1
-            val = Conj(val, self.parse_atom())
-        return val
 
-
-def parse_worm(text: str) -> BracketWorm:
-    p = _Parser(text)
-    w = p.parse_worm_body()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.fail("trailing input")
+def _group(s: Scanner) -> BracketWorm:
+    s.pos += 1
+    w = TOP_WORM if s.next() == ")" else _worm_body(s)
+    s.expect(")")
     return w
 
 
+_ATOM_START = ("T", "p", "(", "[")
+
+
+def _formula_body(s: Scanner) -> BracketFormula:
+    """Atoms joined by `&` to the left.  An atom is `T`, `p<digits>`,
+    `[` formula `]`, or a group followed by an optional atom."""
+    # innermost last: the label of each diamond whose body atom is being
+    # read and, for each open `[`, the conjunction read before it (or None)
+    stack = []
+    left = None  # the conjunction read so far in the innermost formula
+    while True:
+        c = s.next()
+        if c == "T":
+            s.pos += 1
+            f = TOP
+        elif c == "p":
+            s.pos += 1
+            start = s.pos
+            index = s.number("variable index")
+            if index < 1:
+                raise ParseError("variable index must be positive", start)
+            f = Var(index)
+        elif c == "[":
+            s.pos += 1
+            stack.append(left)
+            left = None
+            continue
+        elif c == "(":
+            label = _group(s)
+            if s.next() in _ATOM_START:
+                stack.append(label)
+                continue
+            f = Diamond(label, TOP)
+        else:
+            s.fail("expected formula")
+        # f is a whole atom; `]` makes the bracketed formula one as well
+        while True:
+            while stack and stack[-1].__class__ is BracketWorm:
+                f = Diamond(stack.pop(), f)
+            left = f if left is None else Conj(left, f)
+            c = s.next()
+            if c == "&":
+                s.pos += 1
+                break
+            if not stack:
+                return left
+            s.expect("]")
+            f = left
+            left = stack.pop()
+
+
+def parse_worm(text: str) -> BracketWorm:
+    s = Scanner(text)
+    return s.finish(_worm_body(s))
+
+
 def parse_formula(text: str) -> BracketFormula:
-    p = _Parser(text)
-    f = p.parse_formula_body()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.fail("trailing input")
-    return f
+    s = Scanner(text)
+    return s.finish(_formula_body(s))
 
 
 # --- printing --------------------------------------------------------------

@@ -192,7 +192,8 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
     "argv",
     [
         ("ord", "(" * 400 + ")" * 400),
-        ("fmt", "[" * 3000 + "p1" + "]" * 3000),
+        # parses, then o_star recurses once per level
+        ("nf", "(" * 400 + ")" * 400),
         ("growth", "F", "3", "--budget", "48"),
     ],
 )
@@ -206,6 +207,30 @@ def test_fmt_prints_long_conjunctions(capsys):
     # the formula printer is iterative; the parser reads `&` in a loop
     conj = "&".join(["p1"] * 3000)
     assert invoke(capsys, "fmt", conj) == (0, conj + "\n", "")
+
+
+def test_fmt_prints_deep_brackets(capsys):
+    # the formula parser follows any nesting in a loop
+    assert invoke(capsys, "fmt", "[" * 3000 + "p1" + "]" * 3000) == (0, "p1\n", "")
+    deep = "(" * 100_000 + ")" * 100_000 + "p1"
+    assert invoke(capsys, "fmt", deep) == (0, deep + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fmt", "p\u00b2"), "expected variable index at offset 1"),
+        (("fs", "\u00b2", "1"), "expected ordinal term at offset 0"),
+        (("fs", "w^\u00b2", "1"), "expected ordinal term at offset 2"),
+        (("fs", "phi(0,\u00b2)", "1"), "expected ordinal term at offset 6"),
+        (("fmt", "p" + "9" * 5000), "number too long at offset 1"),
+        (("fs", "9" * 5000, "0"), "number too long at offset 0"),
+    ],
+)
+def test_digits_int_rejects_are_parse_errors(capsys, argv, message):
+    # str.isdigit accepts superscripts that int() rejects, and int() rejects
+    # runs of more than 4300 digits
+    assert invoke(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
 def test_growth_budget_below_the_limit_still_exhausts(capsys):
@@ -342,7 +367,10 @@ _ordinal_text = st.recursive(
     ),
     max_leaves=6,
 )
-_garbage = st.text(alphabet="()[]T&p0123w^+hi,- ", max_size=16)
+_garbage = st.one_of(
+    st.text(alphabet="()[]T&p0123w^+hi,- \u00b2\u0661", max_size=16),
+    st.sampled_from(["9" * 5000, "p" + "9" * 5000]),
+)
 _deep = st.integers(200, 1500)
 _small = st.integers(0, 40).map(str)
 _argv = st.one_of(
