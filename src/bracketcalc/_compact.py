@@ -11,7 +11,12 @@ a zero entry).  Repeated zero-free subsequences have no additive closed
 form; those fall back to pointwise iteration below a cap and are not
 produced by the workloads this engine exists for.
 
-The step rate stays in the tens of thousands per second as long as entry
+The step engine, CompactRunner, bounds the work of a step by two
+invariants rather than by a tuned size: every box it builds holds at most
+_FANOUT items with its least entry order type recorded, and a step whose
+head is a least entry of the leading box takes the rest of that box into
+the new prefix without scanning it (see the stepping notes below).  So the
+step rate stays flat, near a hundred thousand per second, as long as entry
 order types remain short sums (runs of top entries, principal values).
 Deeply nested starting worms grow entries whose order types are sums with
 one summand per elapsed step, and stepping slows to the cost of that
@@ -148,9 +153,32 @@ def from_bracket(w: BracketWorm) -> CW:
     return built[w]
 
 
+def _longer_than(cw: CW, limit: int) -> bool:
+    """Whether cw has more than `limit` entries, counting only until it
+    passes `limit`: each subsequence counts as many times as it repeats,
+    and every one holds an entry, so long repetition chains stop early."""
+    total = 0
+    stack = [(cw, 1)]
+    while stack:
+        c, times = stack.pop()
+        if c._length is not None:
+            total += c._length * times
+        else:
+            for it in c.items:
+                if it.is_run:
+                    total += it.count * times
+                elif it.count * times > limit:
+                    return True
+                else:
+                    stack.append((it.child, it.count * times))
+        if total > limit:
+            return True
+    return False
+
+
 def to_bracket(cw: CW, limit: int = 1 << 20):
     """Materialize as a plain worm, or None when it exceeds `limit` entries."""
-    if cw.length > limit:
+    if _longer_than(cw, limit):
         return None
     memo: dict = {}
 
@@ -193,14 +221,16 @@ def take_head(items: list) -> CW:
     return it.child
 
 
-def split_below(items, threshold: Ordinal):
+def split_below(items, threshold: Ordinal, whole: bool = False):
     """Split an item list before its first entry with order type < threshold.
 
     Returns (prefix items, suffix items or None when no entry is below,
     least entry order type of the prefix or None when the prefix is empty).
     One pass down the split path: a repeated subsequence holding the split
     point is opened in place, and what follows it at each level is kept
-    aside until the innermost level closes the suffix.
+    aside until the innermost level closes the suffix.  With `whole`, a
+    repeated subsequence whose first item is a run below the threshold is
+    not opened: it starts the suffix as it is.
     """
     prefix: list = []
     outer: list = []  # per opened level: the items following it there
@@ -221,7 +251,7 @@ def split_below(items, threshold: Ordinal):
                     low_min = low
                 continue
             prefix.extend(items[:i])
-            if it.is_run:
+            if it.is_run or (whole and _leads_below(child, threshold)):
                 # the very first copy is the split point
                 suffix = list(items[i:])
                 for rest in reversed(outer):
@@ -237,6 +267,11 @@ def split_below(items, threshold: Ordinal):
             assert not outer
             prefix.extend(items)
             return prefix, None, low_min
+
+
+def _leads_below(cw: CW, threshold: Ordinal) -> bool:
+    lead = cw.items[0]
+    return lead.is_run and cmp(o_cw(lead.child), threshold) < 0
 
 
 # --- order types ---------------------------------------------------------------
@@ -389,21 +424,52 @@ def o_cw(cw: CW) -> Ordinal:
 # --- stepping ------------------------------------------------------------------
 #
 # The runner is the step engine behind G_witness and every step_iter step
-# after the head window.  It keeps the worm as a short mutable list of
-# leading items (the active zone, where take_head consumes entries) plus a
-# stack of cold tail segments.  Cold segments are merged pairwise into
-# binary boxes as they accumulate, so the stack and every box tree stay
-# logarithmic in the number of steps.  A step's prefix scan is split_below
-# over the active zone and then over popped cold segments, each as one
-# item, so whole boxes are skipped via their min-order annotations.  The
-# collected prefix is annotated the same way.  Once the head is unrolled,
-# the active zone is trimmed to _ACTIVE_CAP items.
+# after the head window.  It keeps the worm as a mutable list of leading
+# items (the active zone, where the head is taken) plus a stack of cold
+# tail segments, merged pairwise into binary boxes as they accumulate, so
+# the stack stays logarithmic in the number of steps.  Opening a leading
+# box moves what follows it to the cold stack, so the active zone holds
+# the items of one box.  A step's prefix scan is split_below over the
+# active zone and then over popped cold segments, each as one item.  Two
+# invariants bound the work of a step, whatever the step count:
+#
+# 1. Every box the runner builds holds at most _FANOUT items and has its
+#    _min_o set when it is built: the prefix of a step, each suffix pushed
+#    to the cold stack, and a long start list.  So split_below decides an
+#    item with one cmp, opens at most _FANOUT items per level, and never
+#    calls min_o() recursively.  A repeated subsequence that starts with
+#    the split point goes to the suffix whole, not unrolled.
+# 2. A step whose head is a least entry of the leading box (the stepped
+#    head of every prefix is) takes the rest of that box and its other
+#    copies into the new prefix unscanned: none of them is below the head.
+#
+# The new prefix is that known part followed by what the scan collected.
+# Only when together they reach _FANOUT items is the scanned part (and if
+# need be the whole) put into boxes, so a prefix reuses the boxes of the
+# last one instead of regrouping them.
 
-_ACTIVE_CAP = 48
+_FANOUT = 16
+
+
+def _box(items, spare: int = 0) -> tuple:
+    """Group normalized items into annotated boxes of at most _FANOUT items,
+    level by level, until at most _FANOUT - spare items remain."""
+    while len(items) > _FANOUT - spare:
+        parts = -(-len(items) // _FANOUT)
+        size = -(-len(items) // parts)
+        boxes = []
+        for i in range(0, len(items), size):
+            box = CW(tuple(items[i:i + size]))
+            box.min_o()
+            boxes.append(Item(False, box, 1))
+        items = boxes
+    return tuple(items)
 
 
 def _box2(a: CW, b: CW) -> CW:
-    return CW((Item(False, a, 1), Item(False, b, 1)))
+    box = CW((Item(False, a, 1), Item(False, b, 1)))
+    box._min_o = a._min_o if cmp(a._min_o, b._min_o) <= 0 else b._min_o
+    return box
 
 
 def snapshot_cw(active: tuple, cold) -> CW:
@@ -419,10 +485,12 @@ class CompactRunner:
 
     def __init__(self, start: BracketWorm):
         cw = from_bracket(start)
-        self.active: list = list(cw.items)
+        self.active: list = list(_box(cw.items))
         self.cold: list = []  # list of (segment CW, weight), nearest last
         self.steps = 0
-        self._cache: dict = {}
+        # id of an entry led by a top entry -> (entry, its step, a run of
+        # that step): dropping the top entry does not depend on the index
+        self._tops: dict = {}
 
     # -- state views
 
@@ -441,72 +509,97 @@ class CompactRunner:
 
     # -- cold stack helpers
 
-    def _push_cold(self, seg: CW, weight: int = 1) -> None:
+    def _push_cold(self, items: list, weight: int = 1) -> None:
+        seg = _mk(items)
         if not seg.items:
             return
+        if len(seg.items) > _FANOUT:
+            seg = CW(_box(seg.items))
+        seg.min_o()
         while self.cold and self.cold[-1][1] <= weight:
             other, w = self.cold.pop()
             seg = _box2(seg, other)
             weight += w
         self.cold.append((seg, weight))
 
-    def _refill_active(self) -> None:
-        while not self.active and self.cold:
-            seg, w = self.cold.pop()
-            if len(seg.items) <= _ACTIVE_CAP:
-                self.active = list(seg.items)
-            else:
-                half = len(seg.items) // 2
-                self._push_cold(CW(seg.items[half:]), max(w // 2, 1))
-                self._push_cold(CW(seg.items[:half]), max(w // 2, 1))
-
-    def _trim_active(self) -> None:
-        if len(self.active) > _ACTIVE_CAP:
-            tail = self.active[_ACTIVE_CAP // 2:]
-            del self.active[_ACTIVE_CAP // 2:]
-            self._push_cold(_mk(tail))
-
-    def _step_entry(self, h: CW, n: int) -> CW:
-        # dropping a leading top entry does not depend on the step index
-        first = h.items[0]
-        key = id(h) if first.is_run and not first.child.items else (id(h), n)
-        got = self._cache.get(key)
-        if got is None:
-            got = (h, _entry_step(h, n, self._step_entry))
-            self._cache[key] = got
-        return got[1]
-
     # -- the step itself
+
+    def _take_head(self):
+        """Remove the leading entry; return its content and the items that
+        join the next prefix unscanned (invariant 2)."""
+        active = self.active
+        while True:
+            first = active[0]
+            if first.is_run:
+                if first.count > 1:
+                    active[0] = Item(True, first.child, first.count - 1)
+                else:
+                    del active[0]
+                return first.child, ()
+            box = first.child
+            lead = box.items[0]
+            if (
+                lead.is_run
+                and lead.child.items
+                and box._min_o is o_cw(lead.child)
+            ):
+                # nothing in the rest of the box or in its other copies is
+                # below the head (ordinals are interned, so `is`)
+                known = box.items[1:]
+                if lead.count > 1:
+                    known = (Item(True, lead.child, lead.count - 1),) + known
+                if first.count > 1:
+                    known += (Item(False, box, first.count - 1),)
+                del active[0]
+                return lead.child, known
+            # open the box; what follows it waits on the cold stack, so the
+            # active zone holds the items of one box
+            if len(active) > 1:
+                self._push_cold(active[1:])
+            active[:] = box.items
+            if first.count > 1:
+                active.append(Item(False, box, first.count - 1))
 
     def step(self) -> None:
         self.steps += 1
         n = self.steps
-        h = take_head(self.active)
-        # unrolling can leave a long active zone: move its tail to the cold
-        # stack before the scan, so the prefix takes it as one item
-        self._trim_active()
-        self._refill_active()
-        if h.items:
-            stepped = self._step_entry(h, n)
-            threshold = o_cw(h)
-            # collect the prefix up to the first entry strictly below the
-            # head: the rest of the active zone, then whole cold segments
-            prefix: list = [Item(True, stepped, 1)]
-            pref_min = o_cw(stepped)
-            items = self.active
-            while True:
-                pre, suffix, low = split_below(items, threshold)
-                prefix.extend(pre)
-                if low is not None and cmp(low, pref_min) < 0:
-                    pref_min = low
-                if suffix is not None or not self.cold:
-                    break
-                items = [Item(False, self.cold.pop()[0], 1)]
-            bpref = _mk(prefix)
-            bpref._min_o = pref_min
+        h, known = self._take_head()
+        while not self.active and self.cold:
+            self.active = list(self.cold.pop()[0].items)
+        if not h.items:
+            return
+        stepped, head = _entry_step(h, n, self._tops)
+        threshold = o_cw(h)
+        # scan for the first entry strictly below the head: the rest of the
+        # active zone, then whole cold segments
+        scanned: list = []
+        low_min = None
+        items = self.active
+        while True:
+            pre, suffix, low = split_below(items, threshold, whole=True)
+            scanned.extend(pre)
+            if low is not None and (low_min is None or cmp(low, low_min) < 0):
+                low_min = low
+            if suffix is not None or not self.cold:
+                break
+            items = [Item(False, self.cold.pop()[0], 1)]
+        scanned = _mk(scanned).items
+        rest = known + scanned
+        if len(rest) >= _FANOUT and len(scanned) > 1:
+            box = CW(_box(scanned))
+            box._min_o = low_min
+            rest = known + (Item(False, box, 1),)
+        if len(rest) >= _FANOUT:
+            rest = _box(rest, 1)
+        if rest:
+            # everything after the stepped head is at least the old head
+            bpref = CW((head,) + rest)
+            bpref._min_o = o_cw(stepped)
             self.active = [Item(False, bpref, n + 1)]
-            if suffix:
-                self._push_cold(_mk(suffix))
+        else:
+            self.active = [Item(True, stepped, n + 1)]
+        if suffix:
+            self._push_cold(suffix)
 
     def run(self, budget: int) -> bool:
         """Advance until top or until `budget` total steps; True if done.
@@ -528,15 +621,35 @@ class CompactRunner:
         return self.finished
 
 
-def _entry_step(h: CW, n: int, step_entry) -> CW:
-    """One fundamental-sequence step of an entry content worm."""
-    if not h.items:
-        return h
-    items = list(h.items)
-    inner = take_head(items)
-    if not inner.items:
-        return _mk(items)
-    stepped = step_entry(inner, n)
-    prefix, suffix, _low = split_below(items, o_cw(inner))
-    bpref = _mk([Item(True, stepped, 1)] + prefix)
-    return _mk([Item(False, bpref, n + 1)] + (suffix or []))
+def _entry_step(h: CW, n: int, tops: dict) -> tuple:
+    """One fundamental-sequence step of a nonempty entry content worm, as
+    (h{n}, a one-entry run of h{n}).
+
+    Stepping h steps its leading entry first, and that one its own, down to
+    a leading top entry; the chain is walked with an explicit stack, since
+    entries nest thousands deep.  Steps of entries led by a top entry are
+    kept in `tops` by id.
+    """
+    chain: list = []  # per level: the items after the leading entry, and it
+    cur = h
+    while True:
+        got = tops.get(id(cur))
+        if got is not None:
+            _cur, stepped, run = got
+            break
+        items = list(cur.items)
+        inner = take_head(items)
+        if not inner.items:
+            stepped = _mk(items)
+            run = Item(True, stepped, 1)
+            tops[id(cur)] = (cur, stepped, run)
+            break
+        chain.append((items, inner))
+        cur = inner
+    while chain:
+        items, inner = chain.pop()
+        prefix, suffix, _low = split_below(items, o_cw(inner))
+        bpref = _mk([run] + prefix)
+        stepped = _mk([Item(False, bpref, n + 1)] + (suffix or []))
+        run = Item(True, stepped, 1)
+    return stepped, run

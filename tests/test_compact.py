@@ -1,14 +1,33 @@
 """The run-length compressed step engine agrees with the plain one."""
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
-from bracketcalc import cmp, fs_bracket, nat, o_star, parse_worm, print_worm
+import pytest
+
+import bracketcalc
+from bracketcalc import (
+    TOP_WORM,
+    BracketWorm,
+    G_witness,
+    a_seq,
+    cmp,
+    fs_bracket,
+    nat,
+    o_star,
+    parse_worm,
+    print_worm,
+    step_iter,
+)
+from bracketcalc import _compact
 from bracketcalc._compact import (
-    _ACTIVE_CAP,
     CW,
     CompactRunner,
     Item,
+    _longer_than,
     from_bracket,
     o_cw,
     split_below,
@@ -64,18 +83,153 @@ def test_batched_run_agrees_with_single_steps():
             assert a == b
 
 
-def test_long_run_stays_compact():
-    # a prefix of the million-step run: lengths explode, state stays small
-    from bracketcalc import TOP_WORM, a_seq
-    from bracketcalc.syntax import BracketWorm
+def _g2_start():
+    return BracketWorm((TOP_WORM,) + a_seq(2).entries)
 
-    start = BracketWorm((TOP_WORM,) + a_seq(2).entries)
-    r = CompactRunner(start)
+
+@pytest.fixture
+def item_lists(monkeypatch):
+    """The lengths of the item lists the engine normalizes or scans."""
+    seen = []
+    mk, split = _compact._mk, _compact.split_below
+
+    def counted_mk(items):
+        seen.append(len(items))
+        return mk(items)
+
+    def counted_split(items, threshold, whole=False):
+        seen.append(len(items))
+        return split(items, threshold, whole)
+
+    monkeypatch.setattr(_compact, "_mk", counted_mk)
+    monkeypatch.setattr(_compact, "split_below", counted_split)
+    return seen
+
+
+def test_long_run_stays_compact(item_lists):
+    # a prefix of the million-step run: lengths explode, and every item
+    # list a step builds or scans stays within twice the box fan-out
+    r = CompactRunner(_g2_start())
     r.run(30000)
     assert not r.finished
     assert r.steps == 30000
     assert r.length > 10**15
-    assert len(r.active) <= _ACTIVE_CAP and len(r.cold) < 64
+    assert len(item_lists) > 30000
+    assert max(item_lists) <= 2 * _compact._FANOUT
+    assert len(r.cold) < 64
+
+
+def _depth(w) -> int:
+    deepest, stack = 0, [(w, 0)]
+    while stack:
+        cur, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((e, d + 1) for e in cur.entries)
+    return deepest
+
+
+def _chain_run(steps: int):
+    # every one of these steps but the first few takes the stepped head of
+    # the last prefix as its head, so each takes a known prefix
+    runner = CompactRunner(parse_worm("((()()))"))
+    runner.run(steps)
+    return runner.steps, runner.length
+
+
+def test_fanout_sweep_has_no_cliff(monkeypatch, item_lists):
+    # small step-count caps once made the collected prefix grow without
+    # bound; boxes of any fan-out give the same results and keep every item
+    # list within twice the fan-out (counts, not timings)
+    worms = [w for w in corpus(5) if w.entries and _depth(w) <= 2]
+    assert len(worms) == 31  # the benchmark's step worms
+    want = None
+    for fanout in (4, 8, 16, 32, 64, 128):
+        monkeypatch.setattr(_compact, "_FANOUT", fanout)
+        item_lists.clear()
+        got = (
+            G_witness(2, 2 * 10**4),
+            [step_iter(w, 2000) for w in worms],
+            _chain_run(600),
+        )
+        if want is None:
+            want = got
+        assert got == want, fanout
+        assert max(item_lists) <= 2 * fanout, fanout
+
+
+def test_runner_from_a_long_plain_worm_keeps_pace_with_the_replay(item_lists):
+    # the worm nine steps into this descent is 2 778 entries long; started
+    # from it, the runner once copied and rescanned one flat cold segment
+    # per step, which grew to 18 k items
+    w = parse_worm("()((())())")
+    start = w
+    for i in range(1, 10):
+        start = fs_bracket(start, i)
+    assert len(start.entries) == 2778
+    assert len(from_bracket(start).items) == 1912
+    direct = CompactRunner(start)
+    direct.steps = 9
+    replay = CompactRunner(w)
+    replay.run(9)
+    item_lists.clear()  # from_bracket normalizes the start list once
+    for checkpoint in range(38, 300, 29):
+        direct.run(checkpoint)
+        replay.run(checkpoint)
+        assert (direct.steps, direct.length) == (replay.steps, replay.length)
+    assert direct.steps == 299 and not direct.finished
+    assert max(item_lists) <= 2 * _compact._FANOUT
+
+
+def test_long_run_retains_few_objects_per_step():
+    # every prefix a step builds stays alive in the next one, so count what
+    # a run keeps: at most five tracked items, compact worms and tuples per
+    # step, which the engine with flat prefixes of up to 48 items met at 4.6
+    code = """if True:
+        import gc
+        from bracketcalc import TOP_WORM, BracketWorm, a_seq
+        from bracketcalc._compact import CW, CompactRunner, Item
+
+        def tracked():
+            gc.collect()
+            return sum(type(o) in (Item, CW, tuple) for o in gc.get_objects())
+
+        before = tracked()
+        runner = CompactRunner(BracketWorm((TOP_WORM,) + a_seq(2).entries))
+        runner.run(10**5)
+        print(tracked() - before)
+    """
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 5 * 10**5
+
+
+def test_size_check_stops_early():
+    # exact on small worms and early runner states
+    states = [from_bracket(w) for w in corpus(5)]
+    for w in corpus(3):
+        runner = CompactRunner(w)
+        for _ in range(6):
+            if runner.finished:
+                break
+            runner.step()
+            states.append(runner.as_cw())
+    for cw in states:
+        # neither the check nor materializing caches a length
+        n = len(to_bracket(cw, limit=10**6).entries)
+        for limit in {0, max(n - 1, 0), n, n + 1}:
+            assert _longer_than(cw, limit) == (n > limit)
+    # a long run's state is decided without its exact length
+    runner = CompactRunner(_g2_start())
+    runner.run(3000)
+    cw = runner.as_cw()
+    assert to_bracket(cw, limit=4096) is None
+    assert cw._length is None and cw.items[0].child._length is None
 
 
 # --- split_below against the recursive version it replaced ----------------------

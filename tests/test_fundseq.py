@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -348,6 +349,13 @@ def test_G_witness_small():
     assert G_witness(0, 10) == Found(0)
     assert G_witness(1, 10) == Found(1)
     assert G_witness(1, 1) == BudgetExhausted(1)
+
+
+def test_G_witness_steps_a_deep_head_without_recursion():
+    # a(600) nests 900 levels deep, about as deep as the default recursion
+    # limit; the second step steps the whole chain of leading entries
+    assert sys.getrecursionlimit() <= 1000
+    assert G_witness(600, 2) == BudgetExhausted(2)
 
 
 def test_F_le_G_where_found():
