@@ -7,10 +7,11 @@ worms; the checker re-verifies those side derivations too, so a valid
 certificate is self-contained.
 
 Side derivations recur, so a certificate is a shared DAG in memory.  The
-checker verifies each distinct node once; the JSON encoder prints each
-distinct formula once and still writes the v1 tree in full, and the
-decoder parses each distinct formula string once and rebuilds the sharing
-of equal subtrees.  Every memo lives for one call.
+checker verifies each distinct node once.  The v1 JSON wire format writes
+the tree in full; the encoder builds the literal text around each distinct
+node once and emits it per occurrence, and the decoder builds nodes inside
+json's scanner, parsing each distinct formula string once and rebuilding
+the sharing of equal subtrees.  Every memo lives for one call.
 
 Rule tags:
   AxId          phi |- phi
@@ -30,6 +31,7 @@ for RNeg5 must conclude a |- ()b.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._intern import lookup, store
 from .ordinals import cmp
@@ -315,44 +317,57 @@ def decide_closed_geq(phi: BracketFormula, psi: BracketFormula) -> bool:
 # --- JSON wire format ----------------------------------------------------------
 
 
-def certificate_to_json_obj(cert: Certificate) -> dict:
-    """The v1 JSON tree of a certificate.
+def certificate_to_json(cert: Certificate) -> str:
+    """The v1 JSON text of a certificate: the tree that json.dumps with
+    sort_keys=True writes, byte for byte.
 
-    A node shared in the certificate becomes one dict referenced from each
-    parent, and each distinct formula is printed once, so building this
-    costs time in the distinct nodes; json.dumps still writes every
-    occurrence in full.
+    Each distinct node is turned once into its literal text around its
+    children: a head up to the opening bracket of its premises, and a tail
+    from the closing bracket to its side.  Each distinct formula is printed
+    and quoted once.  A walk of the tree with an explicit stack then emits
+    the fragments of every occurrence, so any depth encodes.
     """
-    texts: dict = {}
+    quoted: dict = {}
 
     def text(f: BracketFormula) -> str:
-        got = texts.get(f)
+        got = quoted.get(f)
         if got is None:
-            got = texts[f] = print_formula(f)
+            got = quoted[f] = _quote(print_formula(f))
         return got
 
-    slots = {cert: {}}
+    # node -> its fragments and children, last first, ready to push
+    parts: dict = {}
+    todo = [cert]
+    while todo:
+        node = todo.pop()
+        if node in parts:
+            continue
+        concl = node.conclusion
+        seq = ['{"conclusion": {"lhs": %s, "rhs": %s}, "premises": [' % (
+            text(concl.lhs), text(concl.rhs)
+        )]
+        for i, p in enumerate(node.premises):
+            if i:
+                seq.append(", ")
+            seq.append(p)
+            todo.append(p)
+        tail = '], "rule": %s, "side": ' % _quote(node.rule)
+        if node.side is None:
+            seq.append(tail + "null}")
+        else:
+            seq += (tail, node.side, "}")
+            todo.append(node.side)
+        seq.reverse()
+        parts[node] = seq
+    out = []
     stack = [cert]
     while stack:
-        node = stack.pop()
-        children = node.premises if node.side is None else node.premises + (node.side,)
-        for child in children:
-            if child not in slots:
-                slots[child] = {}
-                stack.append(child)
-        slot = slots[node]
-        slot["rule"] = node.rule
-        slot["conclusion"] = {
-            "lhs": text(node.conclusion.lhs),
-            "rhs": text(node.conclusion.rhs),
-        }
-        slot["premises"] = [slots[p] for p in node.premises]
-        slot["side"] = None if node.side is None else slots[node.side]
-    return slots[cert]
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_json_obj(cert), sort_keys=True)
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        else:
+            stack += parts[item]
+    return "".join(out)
 
 
 def _decode_formula(text) -> BracketFormula:
@@ -416,5 +431,63 @@ def certificate_from_json_obj(obj) -> Certificate:
     return built[id(obj)]
 
 
+class _NotWellFormed(Exception):
+    """Raised inside json's scanner at the first object that is not part of
+    a well-formed v1 certificate."""
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """Decode v1 JSON text; equal subtrees become one shared node.
+
+    Certificates are built inside json's scanner as it closes each object,
+    so no JSON tree is kept: a conclusion object becomes a Sequent (each
+    distinct formula string parsed once), then a node object with a known
+    rule, a list of certificate premises and a certificate or null side
+    becomes the Certificate, shared as in certificate_from_json_obj.  Any
+    other input is decoded again by certificate_from_json_obj, whose walk
+    raises the error the malformed text deserves.
+    """
+    formulas: dict = {}
+    shared: dict = {}
+
+    def formula(text: str) -> BracketFormula:
+        got = formulas.get(text)
+        if got is None:
+            got = formulas[text] = parse_formula(text)
+        return got
+
+    def build(obj: dict):
+        if len(obj) == 2:
+            lhs = obj.get("lhs")
+            rhs = obj.get("rhs")
+            if lhs.__class__ is str and rhs.__class__ is str:
+                return Sequent(formula(lhs), formula(rhs))
+        elif len(obj) == 4:
+            concl = obj.get("conclusion")
+            rule = obj.get("rule")
+            premises = obj.get("premises")
+            side = obj.get("side")
+            if (
+                concl.__class__ is Sequent
+                and rule.__class__ is str
+                and rule in _ARITY
+                and premises.__class__ is list
+                and (side is None or side.__class__ is Certificate)
+            ):
+                for p in premises:
+                    if p.__class__ is not Certificate:
+                        raise _NotWellFormed
+                key = (concl, rule, tuple(premises), side)
+                cert = shared.get(key)
+                if cert is None:
+                    cert = shared[key] = Certificate(*key)
+                return cert
+        raise _NotWellFormed
+
+    try:
+        cert = json.loads(text, object_hook=build)
+    except (_NotWellFormed, ValueError, RecursionError):
+        cert = None
+    if cert.__class__ is Certificate:
+        return cert
     return certificate_from_json_obj(json.loads(text))

@@ -4,9 +4,9 @@ Commands: fmt, ord, cmp, nf, prove, check, step, fs, growth.
 Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
 limit exceeded (nesting too deep for the code that still recurses once per
-level: o_star, to_nf, the ordinal parser and print_ordinal; or a trace the
-compressed engine cannot evaluate).  Worms and formulas parse and print at
-any depth.
+level: o_star, to_nf, the ordinal parser, print_ordinal and json's scanner
+in check; or a trace the compressed engine cannot evaluate).  Worms and
+formulas parse and print, and certificates encode, at any depth.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from .calculus import (
     NotProvable,
     certificate_from_json,
-    certificate_to_json_obj,
+    certificate_to_json,
     check_derivation,
 )
 from .fundseq import F_witness, Found, G_witness, fs_veblen, step_iter
@@ -74,7 +74,7 @@ def cmd_prove(args) -> int:
     except NotProvable as err:
         print("not provable: %s" % err, file=sys.stderr)
         return EXIT_FALSE
-    print(json.dumps(certificate_to_json_obj(cert), sort_keys=True))
+    print(certificate_to_json(cert))
     return EXIT_OK
 
 

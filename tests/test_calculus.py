@@ -1,12 +1,16 @@
 """Derivation checking, order deciders, provers, and the search harness."""
 
+import gc
 import io
 import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketcalc import (
     Certificate,
@@ -37,6 +41,7 @@ from bracketcalc import calculus
 from bracketcalc.calculus import _check_node, worm_formula
 from bracketcalc.cli import main
 from bracketcalc.syntax import TOP, TOP_WORM, Conj, Diamond, Var
+from certfuzz import misplace, mutate
 from corpus import corpus
 
 W = parse_worm
@@ -539,6 +544,15 @@ def _tree_encoder(cert):
     return json.dumps(out, sort_keys=True)
 
 
+# the certify benchmark's chains (CERTIFY_CHAINS in bench/workloads.py)
+_CERTIFY_CHAINS = (
+    ("lt", "((((()))))", "(((()())))"),
+    ("le", "((((()))))", "(((()())))"),
+    ("lt", _CHAIN6[0], _CHAIN6[1]),
+    ("le", _CHAIN6[0], _CHAIN6[1]),
+)
+
+
 def test_shared_encoder_matches_the_tree_encoder():
     ws = corpus(4)
     encoded = 0
@@ -555,6 +569,94 @@ def test_shared_encoder_matches_the_tree_encoder():
                 assert same, (a, b)
                 encoded += 1
     assert encoded > 500
+    for mode, a, b in _CERTIFY_CHAINS:
+        cert = (prove_lt if mode == "lt" else prove_le)(W(a), W(b))
+        same = certificate_to_json(cert) == _tree_encoder(cert)
+        assert same, (mode, a, b)
+
+
+def test_deep_chain_encodes_at_the_default_recursion_limit():
+    leaf = Certificate(Sequent(TOP, TOP), "AxTop")
+    cert = leaf
+    for _ in range(3000):
+        cert = Certificate(Sequent(TOP, TOP), "RMonoOuter", (cert,), leaf)
+    text = certificate_to_json(cert)
+    with pytest.raises(RecursionError):
+        _tree_encoder(cert)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10 * 3000)
+    try:
+        expected = _tree_encoder(cert)
+    finally:
+        sys.setrecursionlimit(limit)
+    same = text == expected
+    assert same
+
+
+def test_decode_peaks_below_twice_the_text():
+    text = certificate_to_json(prove_lt(W(_CHAIN6[0]), W(_CHAIN6[1])))
+    # the prover's certificate is gone, so decoding builds every node anew
+    gc.collect()
+    tracemalloc.start()
+    try:
+        decoded = certificate_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text), (peak, len(text))
+    same = certificate_to_json(decoded) == text
+    assert same
+
+
+def _corpus_certificates(max_pairs):
+    ws = corpus(max_pairs)
+    for a in ws:
+        for b in ws:
+            if decide_lt(a, b):
+                yield prove_lt(a, b)
+            if decide_le(a, b):
+                yield prove_le(a, b)
+
+
+_SMALL_TEXTS = tuple(certificate_to_json(c) for c in _corpus_certificates(3))
+
+
+def _decoded(decode, text):
+    """What a decoder makes of a text: the exception class and message, or
+    the certificate's re-encoding and verdict."""
+    try:
+        cert = decode(text)
+    except Exception as err:
+        return type(err), str(err)
+    return certificate_to_json(cert), repr(check_derivation(cert))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_decoder_agrees_with_the_strict_walk(data):
+    text = data.draw(st.sampled_from(_SMALL_TEXTS))
+    how = data.draw(st.sampled_from(["as is", "indented", "misplaced", "mutated"]))
+    if how == "indented":
+        text = json.dumps(json.loads(text), indent=1)
+    elif how == "misplaced":
+        text = misplace(data, text)
+    elif how == "mutated":
+        text = mutate(data, text)
+    fast = _decoded(certificate_from_json, text)
+    strict = _decoded(lambda t: calculus.certificate_from_json_obj(json.loads(t)), text)
+    assert fast == strict, text
+
+
+def test_valid_certificates_never_take_the_strict_walk(monkeypatch):
+    def refuse(obj):
+        raise AssertionError("the strict walk ran")
+
+    texts = [certificate_to_json(c) for c in _corpus_certificates(4)]
+    monkeypatch.setattr(calculus, "certificate_from_json_obj", refuse)
+    for text in texts:
+        same = certificate_to_json(certificate_from_json(text)) == text
+        assert same
+    assert len(texts) > 500
 
 
 # --- bounded forward search: soundness against the deciders ---------------------------

@@ -1,6 +1,5 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
-import copy
 import json
 import os
 import subprocess
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 import bracketcalc
 from bracketcalc import certificate_to_json, parse_worm, prove_lt
 from bracketcalc.cli import main
+from certfuzz import garbage as _garbage, mutate
 
 
 def invoke(capsys, *argv):
@@ -368,10 +368,6 @@ _ordinal_text = st.recursive(
     ),
     max_leaves=6,
 )
-_garbage = st.one_of(
-    st.text(alphabet="()[]T&p0123w^+hi,- \u00b2\u0661", max_size=16),
-    st.sampled_from(["9" * 5000, "p" + "9" * 5000]),
-)
 _deep = st.integers(200, 1500)
 _small = st.integers(0, 40).map(str)
 _argv = st.one_of(
@@ -408,70 +404,13 @@ def test_fuzz_exit_codes(argv, as_json):
     assert "Traceback" not in err
 
 
-_json_value = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-2, 2),
-        st.sampled_from(["", "()", "(())", "p1", "T&T", "AxId", "RCut", "(("]),
-    ),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=2),
-        st.dictionaries(st.sampled_from(["lhs", "rhs", "rule"]), inner, max_size=2),
-    ),
-    max_leaves=4,
-)
-
-
-def _slots(node, out):
-    """Every (container, key) in a decoded JSON value, preorder."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in items:
-        out.append((node, key))
-        if isinstance(value, (dict, list)):
-            _slots(value, out)
-    return out
-
-
-def _nodes(cert):
-    """Every certificate node of an unmutated JSON certificate, preorder."""
-    out, stack = [], [cert]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node["premises"]))
-        if node["side"] is not None:
-            stack.append(node["side"])
-    return out
-
-
 _CERT = certificate_to_json(prove_lt(parse_worm("((()))"), parse_worm("(())")))
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_fuzz_check_on_mutated_certificates(data):
-    cert = json.loads(_CERT)
-    # copy subtrees over others first, so that the mutations below leave
-    # equal and nearly equal subtrees for the decoder to share
-    for _ in range(data.draw(st.integers(0, 2))):
-        nodes = _nodes(cert)
-        pick = st.integers(0, len(nodes) - 1)
-        src, dst = nodes[data.draw(pick)], nodes[data.draw(pick)]
-        copied = copy.deepcopy(src)
-        dst.clear()
-        dst.update(copied)
-    for _ in range(data.draw(st.integers(1, 3))):
-        slots = _slots(cert, [])
-        node, key = slots[data.draw(st.integers(0, len(slots) - 1))]
-        if isinstance(node, dict) and data.draw(st.booleans()):
-            del node[key]
-        else:
-            node[key] = data.draw(_json_value)
-    text = json.dumps(cert)
-    if data.draw(st.booleans()):
-        cut = data.draw(st.integers(0, len(text)))
-        text = text[:cut] + data.draw(_garbage) + text[cut:]
+    text = mutate(data, _CERT)
     code, err = _run(["check", "-"], stdin=text)
     assert code in _EXIT_CODES, (text, code, err)
     assert "Traceback" not in err
