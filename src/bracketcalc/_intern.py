@@ -12,6 +12,18 @@ from weakref import ref
 _TABLE: dict = {}
 
 
+class _Entry(ref):
+    """A weak reference that knows its key in the table."""
+
+    __slots__ = ("key",)
+
+
+def _drop(r: _Entry) -> None:
+    # a dead node's entry may already hold its live replacement
+    if _TABLE.get(r.key) is r:
+        del _TABLE[r.key]
+
+
 def lookup(key):
     """The live node stored under key, or None."""
     r = _TABLE.get(key)
@@ -20,11 +32,6 @@ def lookup(key):
 
 def store(key, node):
     """Store node under key and return it."""
-
-    def drop(r):
-        # a dead node's entry may already hold its live replacement
-        if _TABLE.get(key) is r:
-            del _TABLE[key]
-
-    _TABLE[key] = ref(node, drop)
+    r = _TABLE[key] = _Entry(node, _drop)
+    r.key = key
     return node

@@ -6,12 +6,14 @@ side derivation establishing the required ordering fact between bracket
 worms; the checker re-verifies those side derivations too, so a valid
 certificate is self-contained.
 
-Side derivations recur, so a certificate is a shared DAG in memory.  The
-checker verifies each distinct node once.  The v1 JSON wire format writes
-the tree in full; the encoder builds the literal text around each distinct
-node once and emits it per occurrence, and the decoder builds nodes inside
-json's scanner, parsing each distinct formula string once and rebuilding
-the sharing of equal subtrees.  Every memo lives for one call.
+Certificates are hash-consed like every other term: one conclusion, rule,
+premises and side make one node, so equal subtrees are one object however
+they were built, and a certificate whose side derivations recur is a
+shared DAG in memory.  The checker verifies each distinct node once.  The
+v1 JSON wire format writes the tree in full; the encoder builds the literal
+text around each distinct node once and emits it per occurrence, and the
+decoder builds nodes inside json's scanner, parsing each distinct formula
+string once.  Every memo lives for one call.
 
 Rule tags:
   AxId          phi |- phi
@@ -105,15 +107,21 @@ class Sequent:
 
 
 class Certificate:
-    __slots__ = ("conclusion", "rule", "premises", "side")
+    __slots__ = ("conclusion", "rule", "premises", "side", "__weakref__")
 
-    def __init__(self, conclusion: Sequent, rule: str, premises: tuple = (), side=None):
+    def __new__(cls, conclusion: Sequent, rule: str, premises=(), side=None):
         if rule not in _ARITY:
             raise ValueError("unknown rule %r" % rule)
-        self.conclusion = conclusion
-        self.rule = rule
-        self.premises = premises
-        self.side = side
+        premises = tuple(premises)
+        key = (cls, conclusion, rule, premises, side)
+        node = lookup(key)
+        if node is None:
+            node = store(key, object.__new__(cls))
+            node.conclusion = conclusion
+            node.rule = rule
+            node.premises = premises
+            node.side = side
+        return node
 
     def __repr__(self):
         return "Certificate(%r, %s)" % (self.conclusion, self.rule)
@@ -379,8 +387,7 @@ def _decode_formula(text) -> BracketFormula:
 def certificate_from_json_obj(obj) -> Certificate:
     """Decode a v1 JSON tree; equal subtrees become one shared node.
 
-    Each distinct formula string is parsed once, and a node whose
-    conclusion, rule, premises and side match an earlier one is that node.
+    Each distinct formula string is parsed once.
     """
     # build bottom-up with an explicit stack so deep trees stay safe
     todo = [obj]
@@ -412,10 +419,9 @@ def certificate_from_json_obj(obj) -> Certificate:
             got = formulas[text] = _decode_formula(text)
         return got
 
-    shared: dict = {}
     built: dict = {}
     for node, premises, side in reversed(order):
-        key = (
+        built[id(node)] = Certificate(
             Sequent(
                 formula(node["conclusion"]["lhs"]),
                 formula(node["conclusion"]["rhs"]),
@@ -424,10 +430,6 @@ def certificate_from_json_obj(obj) -> Certificate:
             tuple(built[id(p)] for p in premises),
             None if side is None else built[id(side)],
         )
-        cert = shared.get(key)
-        if cert is None:
-            cert = shared[key] = Certificate(*key)
-        built[id(node)] = cert
     return built[id(obj)]
 
 
@@ -443,12 +445,11 @@ def certificate_from_json(text: str) -> Certificate:
     so no JSON tree is kept: a conclusion object becomes a Sequent (each
     distinct formula string parsed once), then a node object with a known
     rule, a list of certificate premises and a certificate or null side
-    becomes the Certificate, shared as in certificate_from_json_obj.  Any
-    other input is decoded again by certificate_from_json_obj, whose walk
-    raises the error the malformed text deserves.
+    becomes the Certificate.  Any other input is decoded again by
+    certificate_from_json_obj, whose walk raises the error the malformed
+    text deserves.
     """
     formulas: dict = {}
-    shared: dict = {}
 
     def formula(text: str) -> BracketFormula:
         got = formulas.get(text)
@@ -477,11 +478,7 @@ def certificate_from_json(text: str) -> Certificate:
                 for p in premises:
                     if p.__class__ is not Certificate:
                         raise _NotWellFormed
-                key = (concl, rule, tuple(premises), side)
-                cert = shared.get(key)
-                if cert is None:
-                    cert = shared[key] = Certificate(*key)
-                return cert
+                return Certificate(concl, rule, premises, side)
         raise _NotWellFormed
 
     try:

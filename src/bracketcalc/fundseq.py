@@ -211,16 +211,14 @@ def descend(xi: Ordinal, budget: int, window: int = 64) -> Trace:
     )
 
 
-_GAMMA_CACHE = [ZERO]
-
-
 def gamma(n: int) -> Ordinal:
     """gamma(0) = 0 and gamma(n+1) = phi_{gamma(n)}(0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_GAMMA_CACHE) <= n:
-        _GAMMA_CACHE.append(veblen(_GAMMA_CACHE[-1], ZERO))
-    return _GAMMA_CACHE[n]
+    out = ZERO
+    for _ in range(n):
+        out = veblen(out, ZERO)
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ result is trusted without being checkable.  The pieces:
     is proved) until it meets the smaller one;
   * the public prove_le / prove_lt / derived_mono / conj_to_worm.
 
-STD, DTS, EQw and GTw memoise their certificates for the length of the
-outermost public call only: the calls nested in it share one memo, and
-nothing keeps a certificate alive once that call returns.
+Certificates are hash-consed, so equal subproofs are one node whichever
+way they were built.  STD, DTS, EQw, GTw, prove_lt, prove_le and
+conj_to_worm memoise their results for the length of the outermost such
+call only: the calls nested in it share one memo, and nothing keeps a
+certificate alive once that call returns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .calculus import (
     Sequent,
     SideMismatch,
     formula_worm,
-    worm_formula,
+    worm_formula as wf,
 )
 from .fundseq import fs_bracket
 from .ordinals import Ordinal, add, cmp, left_sub
@@ -52,25 +54,31 @@ _FS_SEARCH_CAP = 200000
 
 
 class _Scope(threading.local):
-    # the memo of the public prover call running in this thread, or None
+    # the memo of the outermost memoised call running in this thread, or None
     memo = None
 
 
 _SCOPE = _Scope()
 
 
-def _scoped(fn):
-    """Give fn a fresh memo unless it runs inside a call that has one."""
+def _memoized(fn):
+    """Memoise fn on its arguments in the memo of the running call; a call
+    made outside any opens a memo and drops it on return."""
 
     @functools.wraps(fn)
     def call(*args):
-        if _SCOPE.memo is not None:
-            return fn(*args)
-        _SCOPE.memo = {}
-        try:
-            return fn(*args)
-        finally:
-            _SCOPE.memo = None
+        memo = _SCOPE.memo
+        if memo is None:
+            _SCOPE.memo = {}
+            try:
+                return call(*args)
+            finally:
+                _SCOPE.memo = None
+        key = (fn, *args)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = fn(*args)
+        return got
 
     return call
 
@@ -153,10 +161,6 @@ def rneg5(
 
 
 # --- worm helpers --------------------------------------------------------------
-
-
-def wf(w: BracketWorm) -> BracketFormula:
-    return worm_formula(w)
 
 
 def _cons(x: BracketWorm, w: BracketWorm) -> BracketWorm:
@@ -319,23 +323,18 @@ def _bridge_dts(w: BracketWorm, w0: BracketWorm) -> Certificate:
     return c
 
 
+@_memoized
 def STD(w: BracketWorm) -> Certificate:
     """Plain certificate w |- to_nf(w)."""
-    memo = _SCOPE.memo
-    got = memo.get(("STD", w))
-    if got is not None:
-        return got
     n = to_nf(w)
     if w == n:
-        out = memo[("STD", w)] = ax_id(wf(w))
-        return out
+        return ax_id(wf(w))
     i = _first_zero(w)
     if i is not None:
         out = _std_grounded(w, n, i)
     else:
         out = _std_shifted(w, n)
     assert formula_worm(out.conclusion.rhs) == n
-    memo[("STD", w)] = out
     return out
 
 
@@ -382,23 +381,18 @@ def _std_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
     return cut(_bridge_std(w, w0), lifted)
 
 
+@_memoized
 def DTS(w: BracketWorm) -> Certificate:
     """Plain certificate to_nf(w) |- w."""
-    memo = _SCOPE.memo
-    got = memo.get(("DTS", w))
-    if got is not None:
-        return got
     n = to_nf(w)
     if w == n:
-        out = memo[("DTS", w)] = ax_id(wf(w))
-        return out
+        return ax_id(wf(w))
     i = _first_zero(w)
     if i is not None:
         out = _dts_grounded(w, n, i)
     else:
         out = _dts_shifted(w, n)
     assert out.conclusion.lhs == wf(n) and formula_worm(out.conclusion.rhs) == w
-    memo[("DTS", w)] = out
     return out
 
 
@@ -499,29 +493,21 @@ def lift_cert(mu: Ordinal, cert: Certificate) -> Certificate:
 # --- order provers ----------------------------------------------------------------
 
 
+@_memoized
 def EQw(a: BracketWorm, b: BracketWorm) -> Certificate:
     """Plain a |- b for worms of equal order type."""
     if a == b:
         return ax_id(wf(a))
-    memo = _SCOPE.memo
-    got = memo.get(("EQ", a, b))
-    if got is not None:
-        return got
     assert cmp(o_star(a), o_star(b)) == 0
-    out = memo[("EQ", a, b)] = cut(STD(a), DTS(b))
-    return out
+    return cut(STD(a), DTS(b))
 
 
+@_memoized
 def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
     """a |- ()b for worms with the order type of b strictly below a's."""
-    memo = _SCOPE.memo
-    got = memo.get(("GT", a, b))
-    if got is not None:
-        return got
     assert cmp(o_star(b), o_star(a)) < 0
     if not b.entries:
-        out = memo[("GT", a, b)] = gt_top(a)
-        return out
+        return gt_top(a)
     ob = o_star(b)
     c = None
     cur = a
@@ -545,7 +531,6 @@ def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
             break
     if cur != b:
         c = cut(c, mono(TOP_WORM, TOP_WORM, EQw(cur, b), side_refl(TOP_WORM)))
-    memo[("GT", a, b)] = c
     return c
 
 
@@ -572,17 +557,9 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
     pref = _slice(a, 0, l)
     proj = drop_suffix(a, l)
 
-    side_cache: dict = {}
-
     def strict_side(v: BracketWorm, u: BracketWorm) -> Certificate:
         assert v == a1n
-        if u == a1:
-            return r0
-        got = side_cache.get(u)
-        if got is None:
-            got = GTw(u, a1n)
-            side_cache[u] = got
-        return got
+        return r0 if u == a1 else GTw(u, a1n)
 
     q = s0
     for _ in range(n):
@@ -601,7 +578,7 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
 # --- public provers ------------------------------------------------------------
 
 
-@_scoped
+@_memoized
 def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- ()b; requires b strictly below a."""
     if cmp(o_star(b), o_star(a)) >= 0:
@@ -609,7 +586,7 @@ def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     return GTw(a, b)
 
 
-@_scoped
+@_memoized
 def prove_le(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- b or a |- ()b; requires b at-or-below a."""
     c = cmp(o_star(b), o_star(a))
@@ -793,7 +770,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     return c_worm, fwd, back
 
 
-@_scoped
+@_memoized
 def conj_to_worm(phi: BracketFormula):
     """Normalize a variable-free formula to a single worm.
 

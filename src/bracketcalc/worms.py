@@ -234,14 +234,14 @@ def to_nf(a: BracketWorm) -> BracketWorm:
     return iota_worm(o_star(a))
 
 
-_H_CACHE = [ZERO]
-
-
 def h(n: int) -> Ordinal:
     """The nesting bound function: h(0) = 0, h(n+1) = e**h(n) applied to 1."""
-    while len(_H_CACHE) <= n:
-        _H_CACHE.append(hyper_exp(_H_CACHE[-1], ONE))
-    return _H_CACHE[n]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = ZERO
+    for _ in range(n):
+        out = hyper_exp(out, ONE)
+    return out
 
 
 def uparrow_bracket(alpha: Ordinal, a: BracketWorm) -> BracketWorm:

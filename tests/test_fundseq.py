@@ -306,7 +306,6 @@ def test_gamma_values():
     assert gamma(1) == ONE
     assert gamma(2) == EPS0
     assert gamma(3) == veblen(EPS0, ZERO)
-    # with gamma(3) memoized, a negative index must not reach the memo
     with pytest.raises(ValueError):
         gamma(-1)
 

@@ -12,6 +12,7 @@ from bracketcalc import (
     ONE,
     TOP_WORM,
     BracketWorm,
+    Certificate,
     Sequent,
     add,
     certificate_from_json,
@@ -54,12 +55,17 @@ def test_equal_values_built_different_ways_are_identical():
     assert parse_formula(print_formula(f)) is f
     assert tau(f) is tau(parse_formula(print_formula(f)))
     assert iota(tau(f)) is parse_formula("(())p1&[()&p2]")
+    seq = Sequent(f, f)
+    assert Certificate(seq, "AxId") is Certificate(seq, "AxId", [], None)
+    a, b = parse_worm("((()))"), parse_worm("(())()")
+    cert = prove_lt(a, b)
+    assert prove_lt(a, b) is cert
 
 
 def test_decoded_certificate_shares_the_provers_formulas():
     cert = prove_lt(parse_worm("((()))"), parse_worm("(())()"))
     decoded = certificate_from_json(certificate_to_json(cert))
-    assert decoded is not cert
+    assert decoded is cert
     stack = [(cert, decoded)]
     while stack:
         mine, theirs = stack.pop()

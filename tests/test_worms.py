@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from bracketcalc import (
     OMEGA,
     ONE,
@@ -114,6 +116,13 @@ def test_h_values():
     assert h(2) == OMEGA
     assert h(3) == EPS0
     assert h(4) == veblen(EPS0, ZERO)
+
+
+def test_h_rejects_a_negative_n_whatever_ran_before():
+    for n in (0, 4):
+        h(n)
+        with pytest.raises(ValueError):
+            h(-1)
 
 
 def test_uparrow_bracket_examples():
