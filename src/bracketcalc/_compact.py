@@ -21,6 +21,22 @@ order types remain short sums (runs of top entries, principal values).
 Deeply nested starting worms grow entries whose order types are sums with
 one summand per elapsed step, and stepping slows to the cost of that
 arithmetic; budgets there should be sized accordingly.
+
+A budgeted descent needs only the front of the worm.  A step replaces the
+head entry, or deletes it if it is a top entry; every other entry moves
+back, or forward by at most one place.  So two worms that agree on their
+first k entries (a worm shorter than k agreeing whole) agree on their
+first k - 1 one step on: the head is the same, and so is the first entry
+below it when that lies within k, else both prefixes cover those k
+entries.  After s of B steps, then, only the first B - s + 1 entries can
+still become a head or decide termination.  CompactRunner.cut(keep) keeps
+that front and drops the rest, while run(), step() and length stay exact.
+A cut state is exact only in its first keep - t entries t steps later:
+past them it holds wrongly copied entries, not just missing ones.  So
+G_witness cuts to B - s + 1 entries, and step_iter to B - s + 1 +
+_DENSE_LIMIT, since its tail worms must be told apart from longer ones up
+to the last step.  Both cut every _FANOUT steps, and the memory of a
+budgeted descent stays bounded whatever the budget.
 """
 
 from __future__ import annotations
@@ -480,6 +496,52 @@ def snapshot_cw(active: tuple, cold) -> CW:
     return CW(active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
 
 
+def _front(items, keep: int):
+    """Cut an item list to its first `keep` entries.
+
+    Returns the kept items and how many of `keep` the list did not fill; a
+    list that fits is returned as it is.  One pass down the cut path: items
+    are kept whole while they fit, then a run is capped, a repeated
+    subsequence keeps the copies that fit whole, and the next copy is
+    opened and cut the same way.  Every box rebuilt on the way records its
+    length and its least entry order type, which only its kept items set.
+    """
+    levels: list = []  # per opened level: the items kept before it, its size
+    while True:
+        kept: list = []
+        for it in items:
+            if it.is_run:
+                size = 1
+            elif _longer_than(it.child, keep):
+                size = keep + 1  # not one copy fits
+            else:
+                size = it.child.length
+            if it.count * size <= keep:
+                kept.append(it)
+                keep -= it.count * size
+                continue
+            whole = keep // size
+            if whole:
+                kept.append(Item(it.is_run, it.child, whole))
+                keep -= whole * size
+            break
+        else:
+            # an opened copy always holds more than what is left to keep
+            assert not levels
+            return items, keep
+        if it.is_run or not keep:
+            break
+        levels.append((kept, keep))
+        items = it.child.items
+    while levels:
+        outer, size = levels.pop()
+        box = CW(tuple(kept))
+        box._length = size
+        box.min_o()
+        kept = outer + [Item(False, box, 1)]
+    return kept, 0
+
+
 class CompactRunner:
     """Budgeted step-down iteration over compact worms."""
 
@@ -600,6 +662,19 @@ class CompactRunner:
             self.active = [Item(True, stepped, n + 1)]
         if suffix:
             self._push_cold(suffix)
+
+    def cut(self, keep: int) -> None:
+        """Truncate the state to its first `keep` entries: the active items,
+        then the cold segments nearest first; segments past the cut go."""
+        self.active, keep = _front(self.active, keep)
+        cold = self.cold
+        i = len(cold)
+        while keep and i:
+            i -= 1
+            seg, weight = cold[i]
+            (item,), keep = _front((Item(False, seg, 1),), keep)
+            cold[i] = (item.child, weight)
+        del cold[:i]
 
     def run(self, budget: int) -> bool:
         """Advance until top or until `budget` total steps; True if done.

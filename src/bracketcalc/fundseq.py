@@ -100,10 +100,12 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
     most _DENSE_LIMIT entries; step counts and termination are always
     exact.  fs_bracket steps the head window, at most `window` calls.  Every
     later step runs on the run-length compressed engine, so budgets in the
-    millions stay feasible while the worms grow astronomically long.  Its
-    last `window` states are kept as snapshots, two tuples each that share
-    the engine's items; at the end the tail is materialized newest first,
-    and a snapshot becomes a compact worm only when that walk reaches it.
+    millions stay feasible while the worms grow astronomically long, and
+    the engine keeps only the front of the worm that the tail window can
+    still see (the budget horizon, see _compact).  Its last `window`
+    states are kept as snapshots, two tuples each that share the engine's
+    items; at the end the tail is materialized newest first, and a
+    snapshot becomes a compact worm only when that walk reaches it.
     """
     if budget < 0 or window < 0:
         raise ValueError("budget and window must be >= 0")
@@ -120,7 +122,7 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         head.append(cur)
     tail = []
     if not terminated and steps < budget:
-        from ._compact import CompactRunner, snapshot_cw, to_bracket
+        from ._compact import _FANOUT, CompactRunner, snapshot_cw, to_bracket
 
         # the runner replays the head from the start worm: its state then
         # stays run-length compressed, where from_bracket(cur) is one flat
@@ -133,6 +135,10 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         while not runner.finished and runner.steps < budget:
             runner.step()
             recent.append((tuple(runner.active), tuple(runner.cold)))
+            if runner.steps % _FANOUT == 0:
+                # a tail worm is decided by its first _DENSE_LIMIT + 1
+                # entries, which must stay exact up to the last step
+                runner.cut(budget - runner.steps + 1 + _DENSE_LIMIT)
         terminated = runner.finished
         steps = runner.steps
         # the tail is the contiguous run of small worms that ends the trace
@@ -251,10 +257,13 @@ def a_seq(n: int) -> BracketWorm:
 
 def G_witness(m: int, budget: int):
     """Least k with the primed worm reaching top after k+1 steps."""
-    from ._compact import CompactRunner
+    from ._compact import _FANOUT, CompactRunner
 
     start = BracketWorm((TOP_WORM,) + a_seq(m).entries)
     runner = CompactRunner(start)
-    if runner.run(budget):
-        return Found(runner.steps - 1)
-    return BudgetExhausted(runner.steps)
+    # the steps left can reach only the front of the worm; drop the rest
+    while not runner.run(min(runner.steps + _FANOUT, budget)):
+        if runner.steps >= budget:
+            return BudgetExhausted(runner.steps)
+        runner.cut(budget - runner.steps + 1)
+    return Found(runner.steps - 1)

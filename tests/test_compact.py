@@ -1,9 +1,11 @@
 """The run-length compressed step engine agrees with the plain one."""
 
+import copy
 import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ import bracketcalc
 from bracketcalc import (
     TOP_WORM,
     BracketWorm,
+    BudgetExhausted,
+    Found,
     G_witness,
     a_seq,
     cmp,
@@ -22,7 +26,7 @@ from bracketcalc import (
     print_worm,
     step_iter,
 )
-from bracketcalc import _compact
+from bracketcalc import _compact, fundseq
 from bracketcalc._compact import (
     CW,
     CompactRunner,
@@ -230,6 +234,192 @@ def test_size_check_stops_early():
     cw = runner.as_cw()
     assert to_bracket(cw, limit=4096) is None
     assert cw._length is None and cw.items[0].child._length is None
+
+
+# --- the budget horizon ---------------------------------------------------------
+
+
+def _entries(items):
+    # every entry content in order, expanded copy by copy
+    for it in items:
+        k = 0
+        while k < it.count:
+            if it.is_run:
+                yield it.child
+            else:
+                yield from _entries(it.child.items)
+            k += 1
+
+
+def _front_worms(runner, n: int) -> list:
+    """The first n entries of a runner's state, as plain worms."""
+    memo: dict = {}
+    out = []
+    for e in islice(_entries(runner.as_cw().items), n):
+        if id(e) not in memo:
+            memo[id(e)] = to_bracket(e)
+        out.append(memo[id(e)])
+    return out
+
+
+def _annotations_hold(cw) -> None:
+    # every recorded length and least entry order type is the true one
+    stack = [cw]
+    while stack:
+        c = stack.pop()
+        if c._length is not None:
+            assert c._length == len(to_bracket(c).entries)
+        if c._min_o is not None:
+            assert c._min_o is CW(c.items).min_o()
+        stack.extend(it.child for it in c.items if not it.is_run)
+
+
+def test_cut_keeps_exactly_the_front():
+    checked = cold = 0
+    for w in corpus(4):
+        runner = CompactRunner(w)
+        for _ in range(7):
+            if runner.finished:
+                break
+            runner.step()
+            full = to_bracket(runner.as_cw(), limit=3000)
+            if full is None:
+                break
+            n = len(full.entries)
+            for keep in {*range(min(n, 40) + 2), n // 2, n - 1, n, n + 1}:
+                twin = copy.copy(runner)
+                twin.active, twin.cold = list(runner.active), list(runner.cold)
+                twin.cut(keep)
+                cut = twin.as_cw()
+                assert to_bracket(cut).entries == full.entries[:keep], (print_worm(w), keep)
+                _annotations_hold(cut)
+                checked += 1
+                # a cold segment cut through, not only kept or dropped
+                if twin.cold:
+                    far = runner.cold[len(runner.cold) - len(twin.cold)]
+                    cold += twin.cold[0][0] is not far[0]
+            # cutting a copy leaves the runner's own state as it was
+            assert to_bracket(runner.as_cw(), limit=3000) == full
+    assert checked > 1800 and cold > 200
+
+
+def _cut_run(start, budget: int, every: int):
+    """Step to top or to the budget; every `every` steps, cut the state to
+    the entries that the steps left can reach."""
+    runner = CompactRunner(start)
+    while not runner.finished and runner.steps < budget:
+        runner.step()
+        if runner.steps % every == 0:
+            runner.cut(budget - runner.steps + 1)
+    return runner
+
+
+def test_cut_runs_agree_with_the_uncut_runner():
+    # the first entries after every cut, along a long G2 descent
+    budget = 3 * 10**4
+    ref = CompactRunner(_g2_start())
+    cutting = {1: CompactRunner(_g2_start()), 100: CompactRunner(_g2_start())}
+    checked = 0
+    while ref.steps < budget:
+        ref.step()
+        want = None
+        for every, runner in cutting.items():
+            runner.step()
+            if runner.steps % every == 0:
+                keep = budget - runner.steps + 1
+                runner.cut(keep)
+                if want is None:
+                    want = _front_worms(ref, 40)
+                assert _front_worms(runner, min(40, keep)) == want[:keep], (every, runner.steps)
+                checked += 1
+    assert checked == budget + budget // 100
+    # termination and step counts from small starts
+    for w in corpus(4):
+        ref = CompactRunner(w)
+        ref.run(34)
+        for budget in range(1, 35):
+            want = (ref.finished and ref.steps <= budget, min(ref.steps, budget))
+            runner = _cut_run(w, budget, 1)
+            assert (runner.finished, runner.steps) == want, (print_worm(w), budget)
+
+
+def test_budget_boundary_with_cuts(monkeypatch):
+    # this start, primed like G_witness's, reaches top in exactly 51 steps;
+    # from step 25 on it is a run of top entries as long as the steps
+    # left, which a horizon one entry short would end early
+    rest = parse_worm("(())(())")
+    start = BracketWorm((TOP_WORM,) + rest.entries)
+    ref = CompactRunner(start)
+    while not ref.finished:
+        ref.step()
+    assert ref.steps == 51
+
+    def verdict(budget, every):
+        runner = _cut_run(start, budget, every)
+        return (Found if runner.finished else BudgetExhausted)(runner.steps)
+
+    for every in (1, 16):
+        assert verdict(51, every) == Found(51)
+        assert verdict(50, every) == BudgetExhausted(50)
+    # G_witness's own loop, which cuts every _FANOUT steps, at that boundary
+    with monkeypatch.context() as patch:
+        patch.setattr(fundseq, "a_seq", lambda m: rest)
+        for fanout in (4, 16):
+            patch.setattr(_compact, "_FANOUT", fanout)
+            assert G_witness(0, 51) == Found(50)
+            assert G_witness(0, 50) == BudgetExhausted(50)
+    # and on its own starts it decides as the uncut loop does
+    for m in (0, 1, 2):
+        start = BracketWorm((TOP_WORM,) + a_seq(m).entries)
+        for budget in (*range(40), 5000):
+            ref = CompactRunner(start)
+            while not ref.finished and ref.steps < budget:
+                ref.step()
+            want = Found(ref.steps - 1) if ref.finished else BudgetExhausted(ref.steps)
+            assert G_witness(m, budget) == want, (m, budget)
+
+
+def test_budgeted_descents_run_in_bounded_memory():
+    # the traced heap peak of a budgeted descent stays under one bound at
+    # any budget; without the horizon G_witness(2, 10**5) peaks near 25 MB
+    # and the step_iter run near 33 MB, growing with the budget
+    code = """if True:
+        import sys, tracemalloc
+        from bracketcalc import BudgetExhausted, G_witness, parse_worm, step_iter
+
+        worm = parse_worm("(()()()())")
+        runs = {
+            "G": lambda budget: G_witness(2, budget) == BudgetExhausted(budget),
+            "step": lambda budget: step_iter(worm, budget, 8).steps_used == budget,
+        }
+        runs["G"](100), runs["step"](100)  # import the engine
+        for job in sys.argv[1:]:
+            kind, budget = job.split(":")
+            tracemalloc.start()
+            assert runs[kind](int(budget)), job
+            print(job, tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    """
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    # two processes, so that the long traced run overlaps the others
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, *jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        for jobs in (["G:400000"], ["G:100000", "step:10000", "step:100000"])
+    ]
+    peaks = {}
+    for proc in procs:
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        peaks.update(line.split() for line in out.splitlines())
+    assert len(peaks) == 4
+    for job, peak in peaks.items():
+        assert int(peak) < 1 << 20, (job, peak)
 
 
 # --- split_below against the recursive version it replaced ----------------------

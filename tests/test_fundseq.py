@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from collections import deque
 
 import pytest
 
@@ -13,6 +14,7 @@ from bracketcalc import (
     BudgetExhausted,
     Found,
     F_witness,
+    Trace,
     G_witness,
     a_seq,
     add,
@@ -35,6 +37,7 @@ from bracketcalc import (
     veblen,
     xhat,
 )
+from bracketcalc._compact import CompactRunner, to_bracket
 from corpus import corpus, corpus_ordinals
 
 W = parse_worm
@@ -141,6 +144,48 @@ def test_step_iter_windows_match_plain_oracle():
                 assert got == want, (print_worm(a), budget, window)
                 checked += 1
     assert checked >= 500
+
+
+def uncut_step_iter(a, budget: int, window: int) -> Trace:
+    """step_iter with an engine that keeps the whole worm to the end."""
+    head, cur, steps = [a], a, 0
+    terminated = not cur.entries
+    while not terminated and steps < min(budget, window):
+        steps += 1
+        cur = fs_bracket(cur, steps)
+        terminated = not cur.entries
+        if len(cur.entries) > DENSE_LIMIT:
+            break
+        head.append(cur)
+    tail = []
+    if not terminated and steps < budget:
+        runner = CompactRunner(a)
+        runner.run(steps)
+        recent = deque(maxlen=window)
+        while not runner.finished and runner.steps < budget:
+            runner.step()
+            recent.append(runner.as_cw())
+        terminated, steps = runner.finished, runner.steps
+        for cw in reversed(recent):
+            worm = to_bracket(cw, limit=DENSE_LIMIT)
+            if worm is None:
+                break
+            tail.append(worm)
+        tail.reverse()
+    return Trace(a, terminated, steps, budget, window, tuple(head), tuple(tail))
+
+
+def test_step_iter_horizon_keeps_the_tail_exact():
+    # the benchmark's step worms at its budget; a horizon of
+    # max(B - s + 1, DENSE_LIMIT + 1) entries, which is not exact once the
+    # cut state has taken steps, changes the tails of ()(()()), (()()()),
+    # ()(()())(), (()())(()) and (()()())() at both windows
+    worms = [w for w in corpus(5) if w.entries and nesting_worm(w) <= 2]
+    assert len(worms) == 31
+    for a in worms:
+        for window in (64, 8):
+            got = step_iter(a, 6000, window).to_json()
+            assert got == uncut_step_iter(a, 6000, window).to_json(), (print_worm(a), window)
 
 
 # --- ordinal steps ----------------------------------------------------------------
