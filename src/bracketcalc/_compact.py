@@ -29,14 +29,15 @@ first k entries (a worm shorter than k agreeing whole) agree on their
 first k - 1 one step on: the head is the same, and so is the first entry
 below it when that lies within k, else both prefixes cover those k
 entries.  After s of B steps, then, only the first B - s + 1 entries can
-still become a head or decide termination.  CompactRunner.cut(keep) keeps
-that front and drops the rest, while run(), step() and length stay exact.
-A cut state is exact only in its first keep - t entries t steps later:
-past them it holds wrongly copied entries, not just missing ones.  So
-G_witness cuts to B - s + 1 entries, and step_iter to B - s + 1 +
-_DENSE_LIMIT, since its tail worms must be told apart from longer ones up
-to the last step.  Both cut every _FANOUT steps, and the memory of a
-budgeted descent stays bounded whatever the budget.
+still become a head or decide termination.  CompactRunner.descend is the
+one place this horizon lives: every _FANOUT steps it cuts the state to
+that front (CompactRunner.cut), while run(), step() and length stay
+exact.  A cut state is exact only in its first keep - t entries t steps
+later: past them it holds wrongly copied entries, not just missing ones.
+So a caller that needs more of the worm exact up to the last step asks
+descend for them: G_witness asks for none, and step_iter for
+_DENSE_LIMIT, since its tail worms must be told apart from longer ones.
+The memory of a budgeted descent stays bounded whatever the budget.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class Item:
         self.child = child
         self.count = count
 
-    def length(self) -> int:
-        return self.count if self.is_run else self.child.length * self.count
-
 
 class CW:
     """A compact worm: a tuple of items."""
@@ -88,29 +86,6 @@ class CW:
         self._length = None
         self._min_o = None
         self._o = None
-
-    @property
-    def length(self) -> int:
-        if self._length is None:
-            # repetition chains nest one level per step, so walk iteratively
-            stack = [self]
-            while stack:
-                cw = stack[-1]
-                pending = [
-                    it.child
-                    for it in cw.items
-                    if not it.is_run and it.child._length is None
-                ]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                stack.pop()
-                if cw._length is None:
-                    cw._length = sum(
-                        it.count * (1 if it.is_run else it.child._length)
-                        for it in cw.items
-                    )
-        return self._length
 
     def min_o(self) -> Ordinal:
         # minimum entry order type; only called on nonempty worms
@@ -169,32 +144,39 @@ def from_bracket(w: BracketWorm) -> CW:
     return built[w]
 
 
-def _longer_than(cw: CW, limit: int) -> bool:
-    """Whether cw has more than `limit` entries, counting only until it
-    passes `limit`: each subsequence counts as many times as it repeats,
-    and every one holds an entry, so long repetition chains stop early."""
-    total = 0
-    stack = [(cw, 1)]
+def _size(cw: CW, cap: int | None = None) -> int:
+    """The number of entries of cw, or cap + 1 when it has more than cap.
+
+    A post-order walk with an explicit stack, since repetition chains nest
+    one level per step, that caches every count it completes.  Every item
+    holds an entry, so neither an item count nor an inner worm outnumbers
+    the whole: the walk stops at the first one above cap.
+    """
+    stack = [cw]
     while stack:
-        c, times = stack.pop()
-        if c._length is not None:
-            total += c._length * times
-        else:
+        c = stack[-1]
+        if c._length is None:
+            pending = []
             for it in c.items:
-                if it.is_run:
-                    total += it.count * times
-                elif it.count * times > limit:
-                    return True
-                else:
-                    stack.append((it.child, it.count * times))
-        if total > limit:
-            return True
-    return False
+                if cap is not None and it.count > cap:
+                    return cap + 1
+                if not it.is_run and it.child._length is None:
+                    pending.append(it.child)
+            if pending:
+                stack.extend(pending)
+                continue
+            c._length = sum(
+                it.count * (1 if it.is_run else it.child._length) for it in c.items
+            )
+        if cap is not None and c._length > cap:
+            return cap + 1
+        stack.pop()
+    return cw._length
 
 
 def to_bracket(cw: CW, limit: int = 1 << 20):
     """Materialize as a plain worm, or None when it exceeds `limit` entries."""
-    if _longer_than(cw, limit):
+    if _size(cw, limit) > limit:
         return None
     memo: dict = {}
 
@@ -395,7 +377,7 @@ def _seq_over(seq: CW, k: int, val: Ordinal) -> Ordinal:
     """Order type of `seq` repeated k times in front of type-val suffix."""
     if k == 0 or not seq.items:
         return val
-    if seq.length * k <= _FLATTEN_CAP or k <= 2:
+    if k <= 2 or _size(seq, _FLATTEN_CAP // k) <= _FLATTEN_CAP // k:
         for _ in range(k):
             val = _fold_items(seq.items, val)
         return val
@@ -510,12 +492,8 @@ def _front(items, keep: int):
     while True:
         kept: list = []
         for it in items:
-            if it.is_run:
-                size = 1
-            elif _longer_than(it.child, keep):
-                size = keep + 1  # not one copy fits
-            else:
-                size = it.child.length
+            # keep + 1 when not one copy fits
+            size = 1 if it.is_run else _size(it.child, keep)
             if it.count * size <= keep:
                 kept.append(it)
                 keep -= it.count * size
@@ -565,9 +543,7 @@ class CompactRunner:
 
     @property
     def length(self) -> int:
-        return sum(it.length() for it in self.active) + sum(
-            seg.length for seg, _w in self.cold
-        )
+        return _size(self.as_cw())
 
     # -- cold stack helpers
 
@@ -677,23 +653,20 @@ class CompactRunner:
         del cold[:i]
 
     def run(self, budget: int) -> bool:
-        """Advance until top or until `budget` total steps; True if done.
-
-        Runs of leading top entries are consumed in bulk: dropping a top
-        entry does not depend on the step index, so a run of k of them is
-        exactly k consecutive steps.
-        """
+        """Advance until top or until `budget` total steps; True if done."""
         while not self.finished and self.steps < budget:
-            it = self.active[0] if self.active else None
-            if it is not None and it.is_run and not it.child.items and it.count > 1:
-                take = min(it.count - 1, budget - self.steps - 1)
-                if take > 0:
-                    self.steps += take
-                    self.active[0] = Item(True, it.child, it.count - take)
-                if self.steps >= budget:
-                    break
             self.step()
         return self.finished
+
+    def descend(self, budget: int, exact: int = 0):
+        """Advance until top or until `budget` total steps, yielding after
+        each step; every _FANOUT steps, cut the state to the entries the
+        steps left can reach, plus `exact` more (the budget horizon)."""
+        while not self.finished and self.steps < budget:
+            self.step()
+            yield
+            if self.steps % _FANOUT == 0:
+                self.cut(budget - self.steps + 1 + exact)
 
 
 def _entry_step(h: CW, n: int, tops: dict) -> tuple:

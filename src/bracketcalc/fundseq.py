@@ -122,7 +122,7 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         head.append(cur)
     tail = []
     if not terminated and steps < budget:
-        from ._compact import _FANOUT, CompactRunner, snapshot_cw, to_bracket
+        from ._compact import CompactRunner, snapshot_cw, to_bracket
 
         # the runner replays the head from the start worm: its state then
         # stays run-length compressed, where from_bracket(cur) is one flat
@@ -132,13 +132,10 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         # a snapshot is the runner's state as two tuples, which share every
         # item and segment with it; only the tail walk builds compact worms
         recent: deque = deque(maxlen=window)
-        while not runner.finished and runner.steps < budget:
-            runner.step()
+        # a tail worm is decided by its first _DENSE_LIMIT + 1 entries,
+        # which must stay exact up to the last step
+        for _ in runner.descend(budget, _DENSE_LIMIT):
             recent.append((tuple(runner.active), tuple(runner.cold)))
-            if runner.steps % _FANOUT == 0:
-                # a tail worm is decided by its first _DENSE_LIMIT + 1
-                # entries, which must stay exact up to the last step
-                runner.cut(budget - runner.steps + 1 + _DENSE_LIMIT)
         terminated = runner.finished
         steps = runner.steps
         # the tail is the contiguous run of small worms that ends the trace
@@ -257,13 +254,11 @@ def a_seq(n: int) -> BracketWorm:
 
 def G_witness(m: int, budget: int):
     """Least k with the primed worm reaching top after k+1 steps."""
-    from ._compact import _FANOUT, CompactRunner
+    from ._compact import CompactRunner
 
-    start = BracketWorm((TOP_WORM,) + a_seq(m).entries)
-    runner = CompactRunner(start)
-    # the steps left can reach only the front of the worm; drop the rest
-    while not runner.run(min(runner.steps + _FANOUT, budget)):
-        if runner.steps >= budget:
-            return BudgetExhausted(runner.steps)
-        runner.cut(budget - runner.steps + 1)
-    return Found(runner.steps - 1)
+    runner = CompactRunner(BracketWorm((TOP_WORM,) + a_seq(m).entries))
+    for _ in runner.descend(budget):
+        pass
+    if runner.finished:
+        return Found(runner.steps - 1)
+    return BudgetExhausted(runner.steps)

@@ -116,10 +116,13 @@ def test_determinism(capsys):
 
 
 def test_installed_entry_point():
+    # the checkout under test, not whatever copy the interpreter would find
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "bracketcalc.cli", "ord", "((()))"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "phi(1,0)"

@@ -14,6 +14,7 @@ import bracketcalc
 from bracketcalc import (
     TOP_WORM,
     BracketWorm,
+    ZERO,
     BudgetExhausted,
     Found,
     G_witness,
@@ -31,7 +32,7 @@ from bracketcalc._compact import (
     CW,
     CompactRunner,
     Item,
-    _longer_than,
+    _size,
     from_bracket,
     o_cw,
     split_below,
@@ -45,6 +46,43 @@ W = parse_worm
 def test_order_types_agree():
     for w in corpus(7):
         assert o_cw(from_bracket(w)) == o_star(w), print_worm(w)
+
+
+def test_order_types_do_not_depend_on_the_flatten_cap(monkeypatch):
+    # with no flattening, every repeated subsequence of three or more copies
+    # that holds a zero entry takes the closed form; runner states must fold
+    # to the order types of the plain worms at both caps
+    closed = []
+    split = _compact._split_last_zero
+
+    def counted_split(seq):
+        parts = split(seq)
+        closed.append(parts is not None)
+        return parts
+
+    monkeypatch.setattr(_compact, "_split_last_zero", counted_split)
+    runs = {}
+    for cap in (0, _compact._FLATTEN_CAP):
+        monkeypatch.setattr(_compact, "_FLATTEN_CAP", cap)
+        closed.clear()
+        states = 0
+        for w in corpus(4):
+            # a new runner per cap, since compact worms cache order types
+            runner, cur = CompactRunner(w), w
+            for i in range(1, 9):
+                if runner.finished:
+                    break
+                runner.step()
+                cur = fs_bracket(cur, i)
+                if len(cur.entries) > 1500:
+                    break
+                got = _compact._fold_items(runner.as_cw().items, ZERO)
+                assert got == o_star(cur), (cap, print_worm(w), i)
+                states += 1
+        runs[cap] = states, sum(closed)
+    (states, closed_forms), (states_default, _) = runs.values()
+    assert states == states_default > 100
+    assert closed_forms > 50
 
 
 def test_conversion_round_trip():
@@ -224,10 +262,12 @@ def test_size_check_stops_early():
             runner.step()
             states.append(runner.as_cw())
     for cw in states:
-        # neither the check nor materializing caches a length
-        n = len(to_bracket(cw, limit=10**6).entries)
-        for limit in {0, max(n - 1, 0), n, n + 1}:
-            assert _longer_than(cw, limit) == (n > limit)
+        # counted apart, since the check caches the exact counts it
+        # completes; the smallest limit goes first, before any is cached
+        n = sum(1 for _ in _entries(cw.items))
+        for limit in sorted({0, max(n - 1, 0), n, n + 1}):
+            assert _size(cw, limit) == min(n, limit + 1)
+        assert cw._length == n == len(to_bracket(cw, limit=10**6).entries)
     # a long run's state is decided without its exact length
     runner = CompactRunner(_g2_start())
     runner.run(3000)
@@ -420,6 +460,33 @@ def test_budgeted_descents_run_in_bounded_memory():
     assert len(peaks) == 4
     for job, peak in peaks.items():
         assert int(peak) < 1 << 20, (job, peak)
+
+
+def test_million_step_witness_peak_rss():
+    # the budget horizon keeps the whole process small at 10**6 steps;
+    # without it the peak was 282 MB.  A process's ru_maxrss starts at the
+    # peak of the process it was forked from, so a small launcher runs the
+    # descent and reads the peak of its one child
+    run = (
+        "from bracketcalc import BudgetExhausted, G_witness; "
+        "assert G_witness(2, 10**6) == BudgetExhausted(10**6)"
+    )
+    code = """if True:
+        import resource, subprocess, sys
+
+        subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        print(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
+    """
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, run],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 40
 
 
 # --- split_below against the recursive version it replaced ----------------------
