@@ -22,11 +22,9 @@ from .calculus import (
 )
 from .fundseq import (
     BudgetExhausted,
-    DescentTrace,
     Found,
     F_witness,
     G_witness,
-    StepTrace,
     Trace,
     a_seq,
     descend,

@@ -5,11 +5,13 @@ explode while the set of distinct entries stays small.  This module keeps
 the repetition symbolic: a compact worm is a list of items, each either a
 run of one repeated entry or a repeated subsequence, with bigint counts.
 
-Order types of compact worms are evaluated with closed forms over the
-repetition counts (runs of equal entries, repeated subsequences containing
-a zero entry).  Repeated zero-free subsequences have no additive closed
-form; those fall back to pointwise iteration below a cap and are not
-produced by the workloads this engine exists for.
+Order types of compact worms are folded right to left, one rule per
+repeat shape.  A run of equal entries and a repeated subsequence holding a
+zero entry take closed forms over the repetition count, whatever the
+count.  A repeated zero-free subsequence has no additive closed form: it
+is folded copy by copy, and more than _CHAIN_CAP copies raise
+CompactionLimit.  Descents from nested starts fold many such repeats,
+with counts up to about the number of steps taken.
 
 The step engine, CompactRunner, bounds the work of a step by two
 invariants rather than by a tuned size: every box it builds holds at most
@@ -57,7 +59,6 @@ from .ordinals import (
 )
 from .syntax import BracketWorm
 
-_FLATTEN_CAP = 4096
 _CHAIN_CAP = 4096
 
 
@@ -377,14 +378,10 @@ def _seq_over(seq: CW, k: int, val: Ordinal) -> Ordinal:
     """Order type of `seq` repeated k times in front of type-val suffix."""
     if k == 0 or not seq.items:
         return val
-    if k <= 2 or _size(seq, _FLATTEN_CAP // k) <= _FLATTEN_CAP // k:
-        for _ in range(k):
-            val = _fold_items(seq.items, val)
-        return val
     parts = _split_last_zero(seq)
     if parts is None:
-        # zero-free repeated segment: no additive closed form; iterate with
-        # a cap (the long-run workloads never produce this shape)
+        # zero-free repeated segment: no additive closed form; fold it copy
+        # by copy, up to _CHAIN_CAP copies
         if k > _CHAIN_CAP:
             raise CompactionLimit("zero-free repeated segment too long")
         for _ in range(k):

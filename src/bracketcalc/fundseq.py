@@ -86,8 +86,6 @@ class Trace:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-StepTrace = DescentTrace = Trace
-
 # worms larger than this end step_iter's plain head and are left out of
 # trace windows
 _DENSE_LIMIT = 4096

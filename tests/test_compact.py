@@ -48,10 +48,10 @@ def test_order_types_agree():
         assert o_cw(from_bracket(w)) == o_star(w), print_worm(w)
 
 
-def test_order_types_do_not_depend_on_the_flatten_cap(monkeypatch):
-    # with no flattening, every repeated subsequence of three or more copies
-    # that holds a zero entry takes the closed form; runner states must fold
-    # to the order types of the plain worms at both caps
+def test_repeats_holding_a_zero_fold_in_closed_form(monkeypatch):
+    # every repeated subsequence that holds a zero entry takes the closed
+    # form, whatever its count; runner states must fold to the order types
+    # of the plain worms
     closed = []
     split = _compact._split_last_zero
 
@@ -61,28 +61,41 @@ def test_order_types_do_not_depend_on_the_flatten_cap(monkeypatch):
         return parts
 
     monkeypatch.setattr(_compact, "_split_last_zero", counted_split)
-    runs = {}
-    for cap in (0, _compact._FLATTEN_CAP):
-        monkeypatch.setattr(_compact, "_FLATTEN_CAP", cap)
-        closed.clear()
-        states = 0
-        for w in corpus(4):
-            # a new runner per cap, since compact worms cache order types
-            runner, cur = CompactRunner(w), w
-            for i in range(1, 9):
-                if runner.finished:
-                    break
-                runner.step()
-                cur = fs_bracket(cur, i)
-                if len(cur.entries) > 1500:
-                    break
-                got = _compact._fold_items(runner.as_cw().items, ZERO)
-                assert got == o_star(cur), (cap, print_worm(w), i)
-                states += 1
-        runs[cap] = states, sum(closed)
-    (states, closed_forms), (states_default, _) = runs.values()
-    assert states == states_default > 100
-    assert closed_forms > 50
+    states = 0
+    for w in corpus(4):
+        runner, cur = CompactRunner(w), w
+        for i in range(1, 9):
+            if runner.finished:
+                break
+            runner.step()
+            cur = fs_bracket(cur, i)
+            if len(cur.entries) > 1500:
+                break
+            got = _compact._fold_items(runner.as_cw().items, ZERO)
+            assert got == o_star(cur), (print_worm(w), i)
+            states += 1
+    assert states > 100
+    assert sum(closed) > 50
+
+
+def test_order_type_folds_stay_within_their_run_over_counts(monkeypatch):
+    # _run_over recurses through the module global, so the counter sees
+    # every call.  Measured: 24 298 and 139 619 calls; 197 357 and 191 292
+    # when repeats of up to 4 096 entries were folded copy by copy
+    calls = 0
+    run_over = _compact._run_over
+
+    def counted(xi, k, val):
+        nonlocal calls
+        calls += 1
+        return run_over(xi, k, val)
+
+    monkeypatch.setattr(_compact, "_run_over", counted)
+    step_iter(W("(((())))"), 100, 8)
+    assert calls <= 30_000
+    calls = 0
+    G_witness(3, 22)
+    assert calls <= 150_000
 
 
 def test_conversion_round_trip():
