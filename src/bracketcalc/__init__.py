@@ -16,7 +16,6 @@ from .calculus import (
     certificate_from_json,
     certificate_to_json,
     check_derivation,
-    decide_closed_geq,
     decide_le,
     decide_lt,
 )
@@ -60,7 +59,7 @@ from .ordinals import (
     veblen,
     veblen_iter,
 )
-from .proving import conj_to_worm, derived_mono, prove_le, prove_lt
+from .proving import conj_to_worm, decide_closed_geq, derived_mono, prove_le, prove_lt
 from .syntax import (
     TOP,
     TOP_WORM,
@@ -90,7 +89,6 @@ from .worms import (
     iota_worm,
     o_star,
     order_type,
-    print_ordinal_worm,
     signature,
     splice,
     star,

@@ -45,23 +45,10 @@ from .syntax import (
     Conj,
     Diamond,
     Top,
-    Var,
     parse_formula,
     print_formula,
 )
 from .worms import o_star
-
-RULES = (
-    "AxId",
-    "AxTop",
-    "AxConjL",
-    "AxConjR",
-    "RConjIntro",
-    "RCut",
-    "RMonoOuter",
-    "RMonoAbsorb",
-    "RNeg5",
-)
 
 _ARITY = {
     "AxId": 0,
@@ -165,16 +152,6 @@ def formula_worm(f: BracketFormula):
             return None
         entries.append(f.label)
         f = f.body
-
-
-def has_variables(f: BracketFormula) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Conj):
-        return has_variables(f.left) or has_variables(f.right)
-    if isinstance(f, Diamond):
-        return has_variables(f.body)
-    return False
 
 
 def _side_shape(side_concl: Sequent, a: BracketWorm, b: BracketWorm):
@@ -312,14 +289,6 @@ def decide_lt(a: BracketWorm, b: BracketWorm) -> bool:
     """True iff b lies strictly below a."""
     return cmp(o_star(b), o_star(a)) < 0
 
-
-def decide_closed_geq(phi: BracketFormula, psi: BracketFormula) -> bool:
-    """Compare two variable-free formulas by their worm normalizations."""
-    from .proving import conj_to_worm
-
-    wa, _, _ = conj_to_worm(phi)
-    wb, _, _ = conj_to_worm(psi)
-    return decide_le(wa, wb)
 
 
 # --- JSON wire format ----------------------------------------------------------

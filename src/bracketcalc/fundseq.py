@@ -167,11 +167,10 @@ def fs_veblen(xi: Ordinal, x: int) -> Ordinal:
         # a trailing finite part steps straight down by one: the additively
         # decomposable case peels the tail, and phi_0(0) = 1 steps to 0
         return Ordinal(xi.terms, xi.fin - 1)
-    lead = xi.terms[0]
-    rest = Ordinal(xi.terms[1:])
-    if rest:
-        return add(Ordinal((lead,)), fs_veblen(rest, x))
-    a, b = lead.level, lead.arg
+    if len(xi.terms) > 1:
+        # a sum steps through its last term
+        return add(Ordinal(xi.terms[:-1]), fs_veblen(Ordinal(xi.terms[-1:]), x))
+    a, b = xi.terms[0].level, xi.terms[0].arg
     if a.is_zero():
         # lead = phi_0(b) = omega**b with b >= 1
         if b.fin:

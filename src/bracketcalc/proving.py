@@ -12,13 +12,14 @@ result is trusted without being checkable.  The pieces:
   * a strict-order prover that walks down the fundamental sequence of the
     larger worm (each step certified the way the descent property itself
     is proved) until it meets the smaller one;
-  * the public prove_le / prove_lt / derived_mono / conj_to_worm.
+  * the public prove_le / prove_lt / derived_mono / conj_to_worm, and
+    decide_closed_geq on top of conj_to_worm.
 
 Certificates are hash-consed, so equal subproofs are one node whichever
-way they were built.  STD, DTS, EQw, GTw, prove_lt, prove_le and
-conj_to_worm memoise their results for the length of the outermost such
-call only: the calls nested in it share one memo, and nothing keeps a
-certificate alive once that call returns.
+way they were built.  STD, DTS, EQw, GTw and conj_to_worm memoise their
+results for the length of the outermost such call only: the calls nested
+in it share one memo, and nothing keeps a certificate alive once that call
+returns.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .calculus import (
     NotProvable,
     Sequent,
     SideMismatch,
+    decide_le,
     formula_worm,
     worm_formula as wf,
 )
@@ -333,7 +335,7 @@ def STD(w: BracketWorm) -> Certificate:
     if i is not None:
         out = _std_grounded(w, n, i)
     else:
-        out = _std_shifted(w, n)
+        out = _std_shifted(w)
     assert formula_worm(out.conclusion.rhs) == n
     return out
 
@@ -371,7 +373,7 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     return cut(c1, fuse)
 
 
-def _std_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
+def _std_shifted(w: BracketWorm) -> Certificate:
     mu = _min_entry_o(w)
     w0 = _nf_entries(w)
     lifted = lift_cert(mu, STD(_lowered(mu, w)))
@@ -391,7 +393,7 @@ def DTS(w: BracketWorm) -> Certificate:
     if i is not None:
         out = _dts_grounded(w, n, i)
     else:
-        out = _dts_shifted(w, n)
+        out = _dts_shifted(w)
     assert out.conclusion.lhs == wf(n) and formula_worm(out.conclusion.rhs) == w
     return out
 
@@ -414,7 +416,7 @@ def _dts_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     return derive_concat(cu, cvz, lambda b, a: gt_top(a))
 
 
-def _dts_shifted(w: BracketWorm, n: BracketWorm) -> Certificate:
+def _dts_shifted(w: BracketWorm) -> Certificate:
     mu = _min_entry_o(w)
     w0 = _nf_entries(w)
     lifted = lift_cert(mu, DTS(_lowered(mu, w)))
@@ -435,15 +437,10 @@ def lift_cert(mu: Ordinal, cert: Certificate) -> Certificate:
     """
     if mu.is_zero():
         return cert
-    label_map: dict = {}
     formula_map: dict = {}
 
     def lw(x: BracketWorm) -> BracketWorm:
-        got = label_map.get(x)
-        if got is None:
-            got = iota_worm(add(mu, o_star(x)))
-            label_map[x] = got
-        return got
+        return iota_worm(add(mu, o_star(x)))
 
     def lf(f: BracketFormula) -> BracketFormula:
         got = formula_map.get(id(f))
@@ -459,33 +456,20 @@ def lift_cert(mu: Ordinal, cert: Certificate) -> Certificate:
         return out
 
     def go(c: Certificate) -> Certificate:
-        rule = c.rule
         concl = c.conclusion
-        if rule in ("AxId", "AxTop", "AxConjL", "AxConjR"):
-            return Certificate(Sequent(lf(concl.lhs), lf(concl.rhs)), rule)
-        if rule == "RConjIntro":
-            return conj_intro(go(c.premises[0]), go(c.premises[1]))
-        if rule == "RCut":
-            return cut(go(c.premises[0]), go(c.premises[1]))
-        if rule == "RMonoOuter":
-            a, b = concl.lhs.label, concl.rhs.label
-            return mono(lw(a), lw(b), go(c.premises[0]), _order_side(lw(b), lw(a)))
-        if rule == "RMonoAbsorb":
-            a, b = concl.lhs.label, concl.lhs.body.label
-            return mono_absorb(
-                lw(a), lw(b), go(c.premises[0]), _order_side(lw(b), lw(a))
-            )
-        if rule == "RNeg5":
-            a = concl.lhs.left.label
-            b = concl.lhs.right.label
-            return rneg5(
-                lw(a),
-                lf(concl.lhs.left.body),
-                lw(b),
-                lf(concl.lhs.right.body),
-                _strict_side(lw(b), lw(a)),
-            )
-        raise AssertionError(rule)
+        if c.rule == "RNeg5":
+            side = _strict_side(lw(concl.lhs.right.label), lw(concl.lhs.left.label))
+        elif c.side is not None:
+            # both monotonicity rules order the right side's label below the left's
+            side = _order_side(lw(concl.rhs.label), lw(concl.lhs.label))
+        else:
+            side = None
+        return Certificate(
+            Sequent(lf(concl.lhs), lf(concl.rhs)),
+            c.rule,
+            tuple(go(p) for p in c.premises),
+            side,
+        )
 
     return go(cert)
 
@@ -578,7 +562,6 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
 # --- public provers ------------------------------------------------------------
 
 
-@_memoized
 def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- ()b; requires b strictly below a."""
     if cmp(o_star(b), o_star(a)) >= 0:
@@ -586,7 +569,6 @@ def prove_lt(a: BracketWorm, b: BracketWorm) -> Certificate:
     return GTw(a, b)
 
 
-@_memoized
 def prove_le(a: BracketWorm, b: BracketWorm) -> Certificate:
     """A checkable derivation of a |- b or a |- ()b; requires b at-or-below a."""
     c = cmp(o_star(b), o_star(a))
@@ -717,9 +699,6 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     assert f_lift.conclusion.lhs == Conj(wf(p0), wf(q0))
     assert formula_worm(f_lift.conclusion.rhs) == m
 
-    def proj_side(v, u):
-        return _order_side(v, u) if cmp(o_star(v), o_star(u)) == 0 else _strict_side(v, u)
-
     c_p = cut(ax_conj_l(fa, fb), drop_suffix(a, ia))
     if p != p0:
         c_p = cut(c_p, _bridge_std(p, p0))
@@ -733,8 +712,8 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
         c_worm = m
         fwd = c_m
     else:
-        c_r = cut(ax_conj_l(fa, fb), suffix_plain(a, ia, proj_side))
-        c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib, proj_side))
+        c_r = cut(ax_conj_l(fa, fb), suffix_plain(a, ia, _order_side))
+        c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib, _order_side))
         c_k = cut(conj_intro(c_r, c_s), fk)
         c_worm = _concat_w(m, k)
         fwd = derive_concat(c_m, c_k, _strict_side)
@@ -756,7 +735,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
         back_b = back_q if not s.entries else None
         assert back_a is not None and back_b is not None
     else:
-        d_k = suffix_plain(c_worm, len(m.entries), proj_side)
+        d_k = suffix_plain(c_worm, len(m.entries), _order_side)
         d_rs = cut(d_k, bk)
         back_a = back_p
         if r.entries:
@@ -805,3 +784,10 @@ def conj_to_worm(phi: BracketFormula):
         )
         return cw, fwd, back
     raise TypeError(phi)
+
+
+def decide_closed_geq(phi: BracketFormula, psi: BracketFormula) -> bool:
+    """Compare two variable-free formulas by their worm normalizations."""
+    wa, _, _ = conj_to_worm(phi)
+    wb, _, _ = conj_to_worm(psi)
+    return decide_le(wa, wb)

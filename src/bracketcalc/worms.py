@@ -248,9 +248,3 @@ def uparrow_bracket(alpha: Ordinal, a: BracketWorm) -> BracketWorm:
     """Shift every top-level entry of a up by alpha, renormalizing entries."""
     return worm_iota(uparrow(alpha, star(a)))
 
-
-def print_ordinal_worm(w: Worm) -> str:
-    """Debug rendering of an ordinal-entry worm: <ord><ord>...T."""
-    from .ordinals import print_ordinal
-
-    return "".join("<%s>" % print_ordinal(e) for e in w) + "T"

@@ -254,6 +254,90 @@ def test_inner_provers_called_directly_open_their_own_memo():
         assert proving._SCOPE.memo is None
 
 
+def _lift_cert_oracle(mu, cert):
+    """lift_cert as it was written first: each rule rebuilt through its own
+    builder, which recomputes the conclusion from the lifted premises."""
+    from bracketcalc import proving as p
+
+    if mu.is_zero():
+        return cert
+
+    def lw(x):
+        return p.iota_worm(p.add(mu, o_star(x)))
+
+    def lf(f):
+        if isinstance(f, Conj):
+            return Conj(lf(f.left), lf(f.right))
+        if isinstance(f, Diamond):
+            return Diamond(lw(f.label), lf(f.body))
+        return f
+
+    def go(c):
+        rule = c.rule
+        concl = c.conclusion
+        if rule in ("AxId", "AxTop", "AxConjL", "AxConjR"):
+            return Certificate(Sequent(lf(concl.lhs), lf(concl.rhs)), rule)
+        if rule == "RConjIntro":
+            return p.conj_intro(go(c.premises[0]), go(c.premises[1]))
+        if rule == "RCut":
+            return p.cut(go(c.premises[0]), go(c.premises[1]))
+        if rule == "RMonoOuter":
+            a, b = concl.lhs.label, concl.rhs.label
+            return p.mono(lw(a), lw(b), go(c.premises[0]), p._order_side(lw(b), lw(a)))
+        if rule == "RMonoAbsorb":
+            a, b = concl.lhs.label, concl.lhs.body.label
+            return p.mono_absorb(
+                lw(a), lw(b), go(c.premises[0]), p._order_side(lw(b), lw(a))
+            )
+        if rule == "RNeg5":
+            a = concl.lhs.left.label
+            b = concl.lhs.right.label
+            return p.rneg5(
+                lw(a),
+                lf(concl.lhs.left.body),
+                lw(b),
+                lf(concl.lhs.right.body),
+                p._strict_side(lw(b), lw(a)),
+            )
+        raise AssertionError(rule)
+
+    return go(cert)
+
+
+def test_lift_cert_matches_rule_by_rule_oracle(monkeypatch):
+    from bracketcalc import proving
+
+    calls = []
+    lift = proving.lift_cert
+
+    def recording(mu, cert):
+        calls.append((mu, cert))
+        return lift(mu, cert)
+
+    monkeypatch.setattr(proving, "lift_cert", recording)
+    ws = corpus(5)
+    for a in ws:
+        for b in ws:
+            if decide_lt(a, b):
+                prove_lt(a, b)
+    # conjunction merges and longer worms lift the two rules these miss
+    for a, b in itertools.product(corpus(3), repeat=2):
+        conj_to_worm(Conj(worm_formula(a), worm_formula(b)))
+    for w in corpus(7):
+        proving.STD(w)
+        proving.DTS(w)
+    monkeypatch.undo()
+    rules = set()
+    for mu, cert in calls:
+        assert lift(mu, cert) is _lift_cert_oracle(mu, cert)
+        stack = [cert]
+        while stack:
+            node = stack.pop()
+            rules.add(node.rule)
+            stack.extend(node.premises)
+    assert len(calls) > 200 and rules == set(calculus._ARITY)
+
+
 def test_derived_mono_examples():
     s = prove_le(W("()"), W("()"))
     c = valid(derived_mono([s]))
@@ -337,6 +421,22 @@ def test_decide_closed_geq_examples():
     assert not decide_closed_geq(F("()"), F("(())"))
     with pytest.raises(HasVariables):
         decide_closed_geq(F("p1"), F("T"))
+
+
+def test_calculus_never_imports_proving():
+    # the checker must stay independent of the provers it checks
+    import ast
+
+    with open(calculus.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["%s.%s" % (node.module or "", a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("proving" in n.split(".") for n in names), ast.unparse(node)
 
 
 # --- monotonicity lemmas over emitted certificates -----------------------------------

@@ -197,7 +197,8 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
         ("ord", "(" * 400 + ")" * 400),
         # parses, then o_star recurses once per level
         ("nf", "(" * 400 + ")" * 400),
-        ("growth", "F", "3", "--budget", "48"),
+        # the third step folds an order type once per nesting level
+        ("growth", "G", "600", "--budget", "3"),
     ],
 )
 def test_implementation_limits_exit_4(capsys, argv):

@@ -16,6 +16,7 @@ from bracketcalc import (
     F_witness,
     Trace,
     G_witness,
+    Ordinal,
     a_seq,
     add,
     cmp,
@@ -24,20 +25,24 @@ from bracketcalc import (
     fs_bracket,
     fs_veblen,
     gamma,
+    mul_nat,
     nat,
     nesting_worm,
     o_star,
     omega_pow,
     parse_ordinal,
     parse_worm,
+    pred,
     print_ordinal,
     print_worm,
     step_iter,
     uparrow_bracket,
     veblen,
+    veblen_iter,
     xhat,
 )
 from bracketcalc._compact import CompactRunner, to_bracket
+from bracketcalc.cli import main
 from corpus import corpus, corpus_ordinals
 
 W = parse_worm
@@ -229,6 +234,42 @@ def test_fs_veblen_descent():
             continue
         for x in range(6):
             assert cmp(fs_veblen(xi, x), xi) < 0
+
+
+def _fs_veblen_per_term(xi, x):
+    """fs_veblen with the sum rule it first had: peel the leading term and
+    step the rest, one recursion per term."""
+    if xi.is_zero():
+        return ZERO
+    if xi.fin:
+        return Ordinal(xi.terms, xi.fin - 1)
+    lead = xi.terms[0]
+    rest = Ordinal(xi.terms[1:])
+    if rest:
+        return add(Ordinal((lead,)), _fs_veblen_per_term(rest, x))
+    a, b = lead.level, lead.arg
+    if a.is_zero():
+        if b.fin:
+            return mul_nat(veblen(ZERO, pred(b)), x + 2)
+        return veblen(ZERO, _fs_veblen_per_term(b, x))
+    if b.is_zero():
+        return veblen_iter(_fs_veblen_per_term(a, x), xhat(x, a), ZERO)
+    if b.fin:
+        return veblen_iter(
+            _fs_veblen_per_term(a, x), xhat(x, a), add(veblen(a, pred(b)), ONE)
+        )
+    return veblen(a, _fs_veblen_per_term(b, x))
+
+
+def test_fs_veblen_steps_a_sum_through_its_last_term(capsys):
+    for xi in corpus_ordinals(5):
+        for x in range(4):
+            assert fs_veblen(xi, x) == _fs_veblen_per_term(xi, x)
+    # the descent from gamma(3) soon holds sums of more terms than the
+    # recursion limit, which a per-term recursion could not step
+    assert sys.getrecursionlimit() <= 1000
+    assert main(["growth", "F", "3", "--budget", "48"]) == 3
+    assert capsys.readouterr().out == "BudgetExhausted 48\n"
 
 
 def test_descend_hand_trace():
