@@ -10,10 +10,10 @@ Certificates are hash-consed like every other term: one conclusion, rule,
 premises and side make one node, so equal subtrees are one object however
 they were built, and a certificate whose side derivations recur is a
 shared DAG in memory.  The checker verifies each distinct node once.  The
-v1 JSON wire format writes the tree in full; the encoder builds the literal
-text around each distinct node once and emits it per occurrence, and the
-decoder builds nodes inside json's scanner, parsing each distinct formula
-string once.  Every memo lives for one call.
+v1 JSON wire format writes the tree in full; the encoder builds the text
+around each distinct node once, and the decoder reads that layout with a
+stack, reusing the node of a repeated span, or else walks json.loads's tree.
+Each distinct formula is printed or parsed once; every memo lives for one call.
 
 Rule tags:
   AxId          phi |- phi
@@ -33,6 +33,7 @@ for RNeg5 must conclude a |- ()b.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._intern import lookup, store
@@ -63,6 +64,12 @@ _ARITY = {
 }
 
 _NEEDS_SIDE = {"RMonoOuter", "RMonoAbsorb", "RNeg5"}
+
+# the v1 layout around a node's premises, with strings json reads as they are
+_HEAD = re.compile(
+    r'\{"conclusion": \{"lhs": "([^"\\\x00-\x1f]*)", "rhs": "([^"\\\x00-\x1f]*)"\}, "premises": \['
+)
+_TAIL = re.compile(r'\], "rule": "([^"\\\x00-\x1f]*)", "side": (null)?')
 
 
 class NotProvable(ValueError):
@@ -402,58 +409,66 @@ def certificate_from_json_obj(obj) -> Certificate:
     return built[id(obj)]
 
 
-class _NotWellFormed(Exception):
-    """Raised inside json's scanner at the first object that is not part of
-    a well-formed v1 certificate."""
-
-
 def certificate_from_json(text: str) -> Certificate:
     """Decode v1 JSON text; equal subtrees become one shared node.
 
-    Certificates are built inside json's scanner as it closes each object,
-    so no JSON tree is kept: a conclusion object becomes a Sequent (each
-    distinct formula string parsed once), then a node object with a known
-    rule, a list of certificate premises and a certificate or null side
-    becomes the Certificate.  Any other input is decoded again by
-    certificate_from_json_obj, whose walk raises the error the malformed
-    text deserves.
-    """
+    A loop with an explicit stack reads the layout certificate_to_json
+    writes, at any depth, parsing each distinct formula string once.  Text
+    that starts with the bytes of the last node built with the same
+    conclusion is the same JSON value, since an object's text ends at its
+    closing brace, so that node is reused and its span skipped.  Other text
+    goes to the strict walk certificate_from_json_obj, which raises the
+    error it deserves."""
     formulas: dict = {}
-
-    def formula(text: str) -> BracketFormula:
-        got = formulas.get(text)
-        if got is None:
-            got = formulas[text] = parse_formula(text)
-        return got
-
-    def build(obj: dict):
-        if len(obj) == 2:
-            lhs = obj.get("lhs")
-            rhs = obj.get("rhs")
-            if lhs.__class__ is str and rhs.__class__ is str:
-                return Sequent(formula(lhs), formula(rhs))
-        elif len(obj) == 4:
-            concl = obj.get("conclusion")
-            rule = obj.get("rule")
-            premises = obj.get("premises")
-            side = obj.get("side")
-            if (
-                concl.__class__ is Sequent
-                and rule.__class__ is str
-                and rule in _ARITY
-                and premises.__class__ is list
-                and (side is None or side.__class__ is Certificate)
-            ):
-                for p in premises:
-                    if p.__class__ is not Certificate:
-                        raise _NotWellFormed
-                return Certificate(concl, rule, premises, side)
-        raise _NotWellFormed
-
+    last: dict = {}  # conclusion -> (start, length, node) of the last node built
+    stack: list = []  # open nodes: [conclusion, start, premises(, rule)]
+    pos = len(text) - len(text.lstrip(" \t\n\r"))
+    node = ...  # a node starts at pos; None is a null side
     try:
-        cert = json.loads(text, object_hook=build)
-    except (_NotWellFormed, ValueError, RecursionError):
-        cert = None
-    if cert.__class__ is Certificate:
-        return cert
+        while node is ... or stack:
+            if node is ...:
+                m = _HEAD.match(text, pos)
+                if m is None:
+                    break
+                for f in m.groups():
+                    if f not in formulas:
+                        formulas[f] = parse_formula(f)
+                concl = Sequent(formulas[m[1]], formulas[m[2]])
+                start, length, reuse = last.get(concl, (0, 0, None))
+                # chunks double, so a mismatch costs about the bytes matched
+                i, k = 0, min(64, length)
+                while k and text.startswith(text[start + i : start + i + k], pos + i):
+                    i, k = i + k, min(2 * k, length - i - k)
+                if reuse is not None and not k:
+                    node, pos = reuse, pos + length
+                    continue
+                stack.append([concl, pos, []])
+                pos = m.end()
+                if text.startswith("{", pos):
+                    continue
+            elif len(stack[-1]) == 3:  # node is a premise
+                stack[-1][2].append(node)
+                node = ...
+                if text.startswith(", ", pos):
+                    pos += 2
+                    continue
+            elif not text.startswith("}", pos):
+                break
+            else:  # node is the side
+                concl, start, premises, rule = stack.pop()
+                node, pos = Certificate(concl, rule, premises, node), pos + 1
+                last[concl] = (start, pos - start, node)
+                continue
+            # the premises of the innermost open node end at pos
+            m = _TAIL.match(text, pos)
+            if m is None:
+                break
+            stack[-1].append(m[1])
+            pos = m.end()
+            node = None if m[2] else ...
+        else:  # the root is read
+            if not text[pos:].strip(" \t\n\r"):
+                return node
+    except ValueError:
+        pass
     return certificate_from_json_obj(json.loads(text))

@@ -4,10 +4,11 @@ Commands: fmt, ord, cmp, nf, prove, check, step, fs, growth.
 Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
 limit exceeded (nesting too deep for the code that still recurses once per
-level: o_star, to_nf, the ordinal parser, print_ordinal, the compressed
-engine's order-type fold (o_cw, _fold_items, _seq_over) and json's scanner
-in check; or a trace the compressed engine cannot evaluate).  Worms and
-formulas parse and print, and certificates encode, at any depth.
+level: o_star, to_nf, the ordinal parser, print_ordinal and the compressed
+engine's order-type fold (o_cw, _fold_items, _seq_over); or a trace the
+compressed engine cannot evaluate).  Worms and formulas parse and print, and
+certificates encode and decode, at any depth; only a certificate outside the
+v1 layout is still read by json's scanner, which recurses.
 """
 
 from __future__ import annotations

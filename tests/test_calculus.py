@@ -768,6 +768,77 @@ def test_valid_certificates_never_take_the_strict_walk(monkeypatch):
     assert len(texts) > 500
 
 
+def _strict(text):
+    return calculus.certificate_from_json_obj(json.loads(text))
+
+
+def _cut_chain(depth, last="AxId"):
+    """RCut T |- T over (the chain one shorter, `last` T |- T)."""
+    cert = Certificate(Sequent(TOP, TOP), "AxId")
+    for _ in range(depth):
+        cert = Certificate(
+            Sequent(TOP, TOP), "RCut", (cert, Certificate(Sequent(TOP, TOP), last))
+        )
+    return cert
+
+
+_AXIOM = (
+    '{"conclusion": {"lhs": "()", "rhs": "T"}, "premises": [], '
+    '"rule": "AxTop", "side": null}'
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json rejects raw control characters in strings
+        _AXIOM.replace('"()"', '"(\n)"'),
+        _AXIOM.replace('"T"', '"\tT"'),
+        # an escape json decodes to "("
+        _AXIOM.replace('"()"', '"\\u0028)"'),
+        # JSON whitespace around the root, then two characters that are not
+        " \t\r\n" + _AXIOM + "\n\r\t ",
+        "\x0b" + _AXIOM,
+        _AXIOM + "\u2003",
+        # trailing garbage
+        _AXIOM + " x",
+        _AXIOM + _AXIOM,
+        # an unknown rule
+        _AXIOM.replace("AxTop", "AxBottom"),
+        # one conclusion, different premises: the second node repeats the first
+        # for 372 bytes, past two compared chunks, and must not be taken for it
+        certificate_to_json(
+            Certificate(Sequent(TOP, TOP), "RCut", (_cut_chain(4), _cut_chain(4, "AxTop")))
+        ),
+    ],
+)
+def test_decoder_agrees_with_the_strict_walk_at_the_edges(text):
+    assert _decoded(certificate_from_json, text) == _decoded(_strict, text)
+
+
+def test_decoder_returns_the_strict_walks_node():
+    for cert in _corpus_certificates(4):
+        text = certificate_to_json(cert)
+        assert certificate_from_json(text) is _strict(text) is cert
+
+
+def test_decode_builds_each_distinct_node_about_once(monkeypatch):
+    text = certificate_to_json(prove_lt(W(_CHAIN6[0]), W(_CHAIN6[1])))
+    built = []
+
+    def counting(*args):
+        built.append(None)
+        return Certificate(*args)
+
+    monkeypatch.setattr(calculus, "Certificate", counting)
+    decoded = certificate_from_json(text)
+    monkeypatch.undo()
+    dag = _tree_and_dag(decoded)[1]
+    # measured: 1 534 constructions for 1 416 distinct nodes; a decoder
+    # that builds every occurrence makes 21 204
+    assert len(built) <= 1.25 * dag, len(built)
+
+
 # --- bounded forward search: soundness against the deciders ---------------------------
 
 

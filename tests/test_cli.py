@@ -1,9 +1,11 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketcalc
-from bracketcalc import certificate_to_json, parse_worm, prove_lt
+from bracketcalc import (
+    Certificate,
+    Sequent,
+    certificate_from_json,
+    certificate_to_json,
+    parse_worm,
+    prove_lt,
+)
+from bracketcalc.syntax import TOP
 from bracketcalc.cli import main
 from certfuzz import garbage as _garbage, mutate
 
@@ -205,6 +215,44 @@ def test_implementation_limits_exit_4(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: limit exceeded") and "Traceback" not in err
+
+
+def _cut_chain(depth):
+    """RCut T |- T over (the chain one shorter, AxId T |- T)."""
+    axiom = Certificate(Sequent(TOP, TOP), "AxId")
+    cert = axiom
+    for _ in range(depth):
+        cert = Certificate(Sequent(TOP, TOP), "RCut", (cert, axiom))
+    return cert
+
+
+def test_check_reads_deep_certificates_at_the_default_recursion_limit(
+    capsys, monkeypatch
+):
+    # json's scanner recurses once per object and per array; the v1 reader
+    # does not
+    assert sys.getrecursionlimit() <= 1000
+    cert = _cut_chain(20_000)
+    text = certificate_to_json(cert)
+    start = time.perf_counter()
+    assert certificate_from_json(text) is cert
+    # comparing each repeat as one whole-span slice took seconds here
+    assert time.perf_counter() - start <= 2.0
+    # the same value outside the v1 layout is read by json's scanner
+    compact = text.replace(", ", ",").replace(": ", ":")
+    small = certificate_to_json(_cut_chain(2))
+    assert small.replace(", ", ",").replace(": ", ":") == json.dumps(
+        json.loads(small), separators=(",", ":")
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(compact))
+    code, out, err = invoke(capsys, "check", "-")
+    assert code == 4 and out == ""
+    assert err.startswith("error: limit exceeded") and "Traceback" not in err
+    # check_derivation keeps a path string per pending node, so its memory
+    # grows with the square of the depth: 1 000 levels keep it small
+    text = certificate_to_json(_cut_chain(1000)) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert invoke(capsys, "check", "-") == (0, "VALID\n", "")
 
 
 def test_fmt_prints_long_conjunctions(capsys):
