@@ -13,7 +13,8 @@ shared DAG in memory.  The checker verifies each distinct node once.  The
 v1 JSON wire format writes the tree in full; the encoder builds the text
 around each distinct node once, and the decoder reads that layout with a
 stack, reusing the node of a repeated span, or else walks json.loads's tree.
-Each distinct formula is printed or parsed once; every memo lives for one call.
+Each distinct formula is printed or parsed once, and through one shared label
+table each distinct diamond label about once; every table lives for one call.
 
 Rule tags:
   AxId          phi |- phi
@@ -266,21 +267,26 @@ def check_derivation(cert: Certificate) -> CheckResult:
     again, its first occurrence and everything below it have passed.
     """
     seen = set()
-    stack = [(cert, "root")]
+    # (node, its parent's entry, the step from there); a path is joined
+    # only for the failing node, so a deep chain costs linear space
+    stack = [(cert, None, "root")]
     while stack:
-        node, path = stack.pop()
+        entry = stack.pop()
+        node = entry[0]
         if node in seen:
             continue
         seen.add(node)
         reason = _check_node(node)
         if reason is not None:
-            return CheckResult(False, path, reason)
-        children = []
-        for i, p in enumerate(node.premises):
-            children.append((p, "%s.premises[%d]" % (path, i)))
+            steps = []
+            while entry is not None:
+                _, entry, step = entry
+                steps.append(step)
+            return CheckResult(False, "".join(reversed(steps)), reason)
         if node.side is not None:
-            children.append((node.side, path + ".side"))
-        stack.extend(reversed(children))
+            stack.append((node.side, entry, ".side"))
+        for i in reversed(range(len(node.premises))):
+            stack.append((node.premises[i], entry, ".premises[%d]" % i))
     return VALID
 
 
@@ -308,15 +314,17 @@ def certificate_to_json(cert: Certificate) -> str:
     Each distinct node is turned once into its literal text around its
     children: a head up to the opening bracket of its premises, and a tail
     from the closing bracket to its side.  Each distinct formula is printed
-    and quoted once.  A walk of the tree with an explicit stack then emits
-    the fragments of every occurrence, so any depth encodes.
+    and quoted once, sharing one label table, so each distinct diamond
+    label is printed once.  A walk of the tree with an explicit stack then
+    emits the fragments of every occurrence, so any depth encodes.
     """
     quoted: dict = {}
+    labels: dict = {}
 
     def text(f: BracketFormula) -> str:
         got = quoted.get(f)
         if got is None:
-            got = quoted[f] = _quote(print_formula(f))
+            got = quoted[f] = _quote(print_formula(f, labels))
         return got
 
     # node -> its fragments and children, last first, ready to push
@@ -413,13 +421,15 @@ def certificate_from_json(text: str) -> Certificate:
     """Decode v1 JSON text; equal subtrees become one shared node.
 
     A loop with an explicit stack reads the layout certificate_to_json
-    writes, at any depth, parsing each distinct formula string once.  Text
-    that starts with the bytes of the last node built with the same
-    conclusion is the same JSON value, since an object's text ends at its
-    closing brace, so that node is reused and its span skipped.  Other text
-    goes to the strict walk certificate_from_json_obj, which raises the
-    error it deserves."""
+    writes, at any depth, parsing each distinct formula string once.  The
+    formulas share one label table, so a label group met again in any of
+    them is taken from it rather than parsed.  Text that starts with the
+    bytes of the last node built with the same conclusion is the same JSON
+    value, since an object's text ends at its closing brace, so that node
+    is reused and its span skipped.  Other text goes to the strict walk
+    certificate_from_json_obj, which raises the error it deserves."""
     formulas: dict = {}
+    labels: dict = {}
     last: dict = {}  # conclusion -> (start, length, node) of the last node built
     stack: list = []  # open nodes: [conclusion, start, premises(, rule)]
     pos = len(text) - len(text.lstrip(" \t\n\r"))
@@ -432,7 +442,7 @@ def certificate_from_json(text: str) -> Certificate:
                     break
                 for f in m.groups():
                     if f not in formulas:
-                        formulas[f] = parse_formula(f)
+                        formulas[f] = parse_formula(f, labels)
                 concl = Sequent(formulas[m[1]], formulas[m[2]])
                 start, length, reuse = last.get(concl, (0, 0, None))
                 # chunks double, so a mismatch costs about the bytes matched

@@ -10,6 +10,10 @@ it only ever appears in machine-produced derivation text.
 
 Worms and formulas are hash-consed: equal values are one object, so
 equality and hashing are identity.
+
+Diamond labels are worms, and many formulas repeat a few of them: the
+formula parser and printer keep a label table for one call, or for all the
+calls that share it, as the certificate codec does for one certificate.
 """
 
 from __future__ import annotations
@@ -206,9 +210,14 @@ def _group(s: Scanner) -> BracketWorm:
 _ATOM_START = ("T", "p", "(", "[")
 
 
-def _formula_body(s: Scanner) -> BracketFormula:
+def _formula_body(s: Scanner, labels: dict) -> BracketFormula:
     """Atoms joined by `&` to the left.  An atom is `T`, `p<digits>`,
-    `[` formula `]`, or a group followed by an optional atom."""
+    `[` formula `]`, or a group followed by an optional atom.
+
+    labels maps a label group's first 4 characters to its last 4 `(text,
+    worm)` pairs, newest first.  A group ends where its own brackets close,
+    so text at a `(` that starts with a pair's text is that group."""
+    text = s.text
     # innermost last: the label of each diamond whose body atom is being
     # read and, for each open `[`, the conjunction read before it (or None)
     stack = []
@@ -231,7 +240,22 @@ def _formula_body(s: Scanner) -> BracketFormula:
             left = None
             continue
         elif c == "(":
-            label = _group(s)
+            pos = s.pos
+            key = text[pos:pos + 4]
+            hits = labels.get(key, ())
+            for i, (group, label) in enumerate(hits):
+                if text.startswith(group, pos):
+                    s.pos += len(group)
+                    hits.insert(0, hits.pop(i))
+                    break
+            else:
+                label = _group(s)
+                # at most 4 per key: a list without a bound is searched in
+                # full for each new label, quadratic in distinct labels
+                if s.pos - pos >= 4:
+                    hits = labels.setdefault(key, [])
+                    hits.insert(0, (text[pos:s.pos], label))
+                    del hits[4:]
             if s.next() in _ATOM_START:
                 stack.append(label)
                 continue
@@ -259,9 +283,12 @@ def parse_worm(text: str) -> BracketWorm:
     return s.finish(_worm_body(s))
 
 
-def parse_formula(text: str) -> BracketFormula:
+def parse_formula(text: str, labels: dict | None = None) -> BracketFormula:
+    """The formula of text.  Each diamond label met again is looked up in
+    labels rather than parsed again; pass one dict to share the labels of
+    several texts, as the certificate decoder does.  A new one by default."""
     s = Scanner(text)
-    return s.finish(_formula_body(s))
+    return s.finish(_formula_body(s, {} if labels is None else labels))
 
 
 # --- printing --------------------------------------------------------------
@@ -308,7 +335,11 @@ def print_worm(w: BracketWorm) -> str:
     return "".join(map(texts.__getitem__, w.entries))
 
 
-def print_formula(f: BracketFormula) -> str:
+def print_formula(f: BracketFormula, labels: dict | None = None) -> str:
+    """The text of f.  Each distinct diamond label is printed once and kept
+    in labels, keyed by the worm; pass one dict to share the texts across
+    several formulas, as the certificate encoder does.  A new one by default."""
+    labels = {} if labels is None else labels
     # an explicit stack of formulas still to print and literal text
     out: list = []
     stack = [f]
@@ -317,7 +348,10 @@ def print_formula(f: BracketFormula) -> str:
         if isinstance(x, str):
             out.append(x)
         elif isinstance(x, Diamond):
-            out.append(_entry_text(x.label))
+            text = labels.get(x.label)
+            if text is None:
+                text = labels[x.label] = _entry_text(x.label)
+            out.append(text)
             body = x.body
             if isinstance(body, Conj):
                 stack += ("]", body, "[")

@@ -37,7 +37,7 @@ from bracketcalc import (
     signature,
     tau,
 )
-from bracketcalc import calculus
+from bracketcalc import calculus, syntax
 from bracketcalc.calculus import _check_node, worm_formula
 from bracketcalc.cli import main
 from bracketcalc.syntax import TOP, TOP_WORM, Conj, Diamond, Var
@@ -772,9 +772,10 @@ def _strict(text):
     return calculus.certificate_from_json_obj(json.loads(text))
 
 
-def _cut_chain(depth, last="AxId"):
-    """RCut T |- T over (the chain one shorter, `last` T |- T)."""
-    cert = Certificate(Sequent(TOP, TOP), "AxId")
+def _cut_chain(depth, last="AxId", first="AxId"):
+    """RCut T |- T over (the chain one shorter, `last` T |- T), down to
+    `first` T |- T."""
+    cert = Certificate(Sequent(TOP, TOP), first)
     for _ in range(depth):
         cert = Certificate(
             Sequent(TOP, TOP), "RCut", (cert, Certificate(Sequent(TOP, TOP), last))
@@ -837,6 +838,31 @@ def test_decode_builds_each_distinct_node_about_once(monkeypatch):
     # measured: 1 534 constructions for 1 416 distinct nodes; a decoder
     # that builds every occurrence makes 21 204
     assert len(built) <= 1.25 * dag, len(built)
+
+
+def test_codec_reads_and_writes_each_distinct_label_about_once(monkeypatch):
+    cert = prove_lt(W(_CHAIN6[0]), W(_CHAIN6[1]))
+    text = certificate_to_json(cert)
+    groups, entries = [], []
+    group, entry_text = syntax._group, syntax._entry_text
+    monkeypatch.setattr(syntax, "_group", lambda s: groups.append(s) or group(s))
+    monkeypatch.setattr(syntax, "_entry_text", lambda w: entries.append(w) or entry_text(w))
+    assert certificate_from_json(text) is cert
+    # measured: 452 label groups parsed, of 1 571 label occurrences in
+    # the distinct formula strings
+    assert len(groups) <= 460, len(groups)
+    entries.clear()
+    same = certificate_to_json(cert) == text
+    assert same
+    # measured: 48, one per distinct label, of the same 1 571 occurrences
+    assert len(entries) <= 48, len(entries)
+
+
+def test_deep_failure_reports_the_whole_path():
+    depth = 2000
+    result = check_derivation(_cut_chain(depth, first="AxConjL"))
+    assert result.path == "root" + ".premises[0]" * depth
+    assert result.reason == "AxConjL must project the left conjunct"
 
 
 # --- bounded forward search: soundness against the deciders ---------------------------

@@ -2,6 +2,7 @@
 two per-character recursive-descent parsers it replaced."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -211,11 +212,23 @@ _SPACES = " \t\n\x1c\xa0\u3000"
 _DIGITS = "0123456789\u0661\u0662\u00b2\u00b9"  # Arabic-Indic 1 2 are decimal, ² ¹ not
 # capitals stand for tokens, so that random text often parses a while
 _TOKENS = str.maketrans({"F": "phi(", "P": "p1", "W": "w^", "E": "()", "Z": "0,"})
+# label groups of at least 4 characters, with space inside and around, some
+# sharing their first 4; repeated within one text among atoms and malformed
+# tails, so that labels met again come from the parser's table
+_LABELS = ("(())", "( ())", "(() )", "(()())", "(()(()))", "((\t)())", " (((()))) ")
+_AFTER = ("T", "p1", "&", "[", "]", " ", "\n", "p", "p0", "x", ")", "(()", "((()")
+
+
+def _tokens(alphabet):
+    return st.text(alphabet=alphabet, max_size=24).map(lambda t: t.translate(_TOKENS))
+
+
 _text = st.one_of(
-    st.text(alphabet="(((())))TE[" + _SPACES, max_size=24),
-    st.text(alphabet="(())[]&&TpPPE" + _DIGITS + _SPACES, max_size=24),
-    st.text(alphabet="ww^^++,FFZW()phi" + _DIGITS + _SPACES, max_size=24),
-).map(lambda t: t.translate(_TOKENS))
+    _tokens("(((())))TE[" + _SPACES),
+    _tokens("(())[]&&TpPPE" + _DIGITS + _SPACES),
+    _tokens("ww^^++,FFZW()phi" + _DIGITS + _SPACES),
+    st.lists(st.sampled_from(_LABELS * 3 + _AFTER), max_size=12).map("".join),
+)
 
 
 def _outcome(parse, text):
@@ -226,7 +239,9 @@ def _outcome(parse, text):
 
 
 @given(_text)
-@settings(max_examples=20000, deadline=None)
+# a quarter of the examples are label texts; the other three strategies
+# keep about the 6 700 examples each that they had alone
+@settings(max_examples=26000, deadline=None)
 def test_parsers_match_the_replaced_parsers(text):
     for parse, oracle in _PAIRS:
         try:
@@ -286,6 +301,21 @@ def test_deep_worm_parses_at_the_default_recursion_limit():
         (w,) = w.entries
         depth += 1
     assert depth == _DEEP
+
+
+def test_distinct_labels_sharing_a_prefix_parse_in_linear_time():
+    # the parser keeps a few labels per 4-character prefix: a list without
+    # a bound is searched in full for each new label, here 20 000 times
+    labels = (
+        "(((((" + "".join("(())" if i >> k & 1 else "()" for k in range(15)) + ")))))"
+        for i in range(20_000)
+    )
+    text = "&".join(labels)
+    start = time.perf_counter()
+    f = parse_formula(text)
+    assert time.perf_counter() - start <= 4.0
+    same = print_formula(f) == text
+    assert same
 
 
 def test_deep_formula_parses_at_the_default_recursion_limit():
