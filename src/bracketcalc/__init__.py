@@ -78,11 +78,7 @@ from .syntax import (
     print_worm,
 )
 from .worms import (
-    RCFormula,
-    RConj,
     RDia,
-    RTop,
-    RVar,
     concat,
     h,
     iota,

@@ -129,7 +129,7 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         runner.run(steps)
         # a snapshot is the runner's state as two tuples, which share every
         # item and segment with it; only the tail walk builds compact worms
-        recent: deque = deque(maxlen=window)
+        recent: deque = deque(maxlen=min(window, budget))
         # a tail worm is decided by its first _DENSE_LIMIT + 1 entries,
         # which must stay exact up to the last step
         for _ in runner.descend(budget, _DENSE_LIMIT):
@@ -188,7 +188,7 @@ def descend(xi: Ordinal, budget: int, window: int = 64) -> Trace:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     head = [xi]
-    tail: deque = deque(maxlen=window)
+    tail: deque = deque(maxlen=min(window, budget))
     cur = xi
     steps = 0
     terminated = cur.is_zero()

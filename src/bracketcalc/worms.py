@@ -6,6 +6,10 @@ engine.  The order type of a bracket worm and the canonical worm of an
 ordinal are cached on the node itself, because the same small worms come up
 constantly in tests and in the certificate prover; a cached value lives as
 long as its node.
+
+RC formulas, the ordinal-indexed side of tau and iota, share the bracket
+formulas' Top, Var and Conj nodes; RDia, a diamond indexed by an ordinal, is
+the only node they add.
 """
 
 from __future__ import annotations
@@ -21,68 +25,15 @@ from .ordinals import (
     left_sub,
     omega_pow,
 )
-from .syntax import TOP, BracketFormula, BracketWorm, Conj, Diamond, Top, Var
+from .syntax import BracketFormula, BracketWorm, Conj, Diamond, Top, Var
 
 Worm = tuple  # tuple[Ordinal, ...]
 
 
-class RCFormula:
-    __slots__ = ()
-
-
-class RTop(RCFormula):
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "RTop"
-
-
-RTOP = RTop()
-
-
-class RVar(RCFormula):
-    __slots__ = ("index", "__weakref__")
-
-    def __new__(cls, index: int):
-        if index < 1:
-            raise ValueError("variable index must be positive")
-        key = (cls, index)
-        node = lookup(key)
-        if node is None:
-            node = store(key, object.__new__(cls))
-            node.index = index
-        return node
-
-    def __repr__(self):
-        return "RVar(%d)" % self.index
-
-
-class RConj(RCFormula):
-    __slots__ = ("left", "right", "__weakref__")
-
-    def __new__(cls, left: RCFormula, right: RCFormula):
-        key = (cls, left, right)
-        node = lookup(key)
-        if node is None:
-            node = store(key, object.__new__(cls))
-            node.left = left
-            node.right = right
-        return node
-
-    def __repr__(self):
-        return "RConj(%r, %r)" % (self.left, self.right)
-
-
-class RDia(RCFormula):
+class RDia(BracketFormula):
     __slots__ = ("index", "body", "__weakref__")
 
-    def __new__(cls, index: Ordinal, body: RCFormula):
+    def __new__(cls, index: Ordinal, body: BracketFormula):
         key = (cls, index, body)
         node = lookup(key)
         if node is None:
@@ -95,11 +46,11 @@ class RDia(RCFormula):
         return "RDia(%r, %r)" % (self.index, self.body)
 
 
-def signature(f: RCFormula) -> frozenset:
-    """The set of modality indices occurring in f."""
-    if isinstance(f, (RTop, RVar)):
+def signature(f: BracketFormula) -> frozenset:
+    """The set of modality indices occurring in the RC formula f."""
+    if isinstance(f, (Top, Var)):
         return frozenset()
-    if isinstance(f, RConj):
+    if isinstance(f, Conj):
         return signature(f.left) | signature(f.right)
     if isinstance(f, RDia):
         return frozenset((f.index,)) | signature(f.body)
@@ -168,14 +119,12 @@ def o_star(a: BracketWorm) -> Ordinal:
     return a._o
 
 
-def tau(f: BracketFormula) -> RCFormula:
-    """Translate a bracket formula into an ordinal-indexed formula."""
-    if isinstance(f, Top):
-        return RTOP
-    if isinstance(f, Var):
-        return RVar(f.index)
+def tau(f: BracketFormula) -> BracketFormula:
+    """Translate a bracket formula into an RC formula."""
+    if isinstance(f, (Top, Var)):
+        return f
     if isinstance(f, Conj):
-        return RConj(tau(f.left), tau(f.right))
+        return Conj(tau(f.left), tau(f.right))
     if isinstance(f, Diamond):
         return RDia(o_star(f.label), tau(f.body))
     raise TypeError(f)
@@ -216,13 +165,11 @@ def iota_worm(x: Ordinal) -> BracketWorm:
     return x._iota
 
 
-def iota(f: RCFormula) -> BracketFormula:
-    """Translate an ordinal-indexed formula into brackets."""
-    if isinstance(f, RTop):
-        return TOP
-    if isinstance(f, RVar):
-        return Var(f.index)
-    if isinstance(f, RConj):
+def iota(f: BracketFormula) -> BracketFormula:
+    """Translate an RC formula into brackets."""
+    if isinstance(f, (Top, Var)):
+        return f
+    if isinstance(f, Conj):
         return Conj(iota(f.left), iota(f.right))
     if isinstance(f, RDia):
         return Diamond(iota_worm(f.index), iota(f.body))

@@ -51,8 +51,8 @@ from bracketcalc import (
     worm_of_ordinal,
 )
 from bracketcalc.calculus import worm_formula
-from bracketcalc.syntax import Conj
-from bracketcalc.worms import RTOP, RConj, RDia, RVar
+from bracketcalc.syntax import TOP, Conj, Var
+from bracketcalc.worms import RDia
 from corpus import corpus, corpus_ordinals
 from test_calculus import _forward_search
 
@@ -119,12 +119,12 @@ def test_criterion_4_translation_round_trip():
     def rand(depth):
         k = rng.randrange(4 if depth else 2)
         if k == 0:
-            return RTOP
+            return TOP
         if k == 1:
-            return RVar(rng.randrange(1, 8))
+            return Var(rng.randrange(1, 8))
         if k == 2:
             return RDia(rng.choice(ordinals), rand(depth - 1))
-        return RConj(rand(depth - 1), rand(depth - 1))
+        return Conj(rand(depth - 1), rand(depth - 1))
 
     ok = True
     for _ in range(10_000):

@@ -209,12 +209,28 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
         ("nf", "(" * 400 + ")" * 400),
         # the third step folds an order type once per nesting level
         ("growth", "G", "600", "--budget", "3"),
+        # mul_nat's term tuple overflows a C index, or cannot be allocated;
+        # smaller indices than these allocate before they fail
+        ("fs", "phi(0,w+1)", str(10**20)),
+        ("fs", "phi(0,w+1)", str(10**18)),
     ],
 )
 def test_implementation_limits_exit_4(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: limit exceeded") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("worm", ["(()())", "((()))()", "(()()())"])
+@pytest.mark.parametrize("budget", [40, 300, 5000])
+def test_step_window_beyond_the_budget_keeps_every_step(capsys, worm, budget):
+    # a window of at least the budget already records every step, so a
+    # window too large for a deque's maxlen prints what the budget prints
+    for flags in ((), ("--json",)):
+        argv = (*flags, "step", worm, "--budget", str(budget), "--window")
+        assert invoke(capsys, *argv, str(10**20)) == invoke(
+            capsys, *argv, str(budget)
+        )
 
 
 def _cut_chain(depth):

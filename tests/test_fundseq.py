@@ -286,6 +286,13 @@ def test_descend_examples():
     assert obj["head"] == ["phi(0,1)", "3", "2", "1", "0"]
 
 
+def test_descend_window_beyond_the_budget_keeps_every_step():
+    for budget in (3, 20):
+        huge = descend(gamma(3), budget, window=10**20)
+        exact = descend(gamma(3), budget, window=budget)
+        assert huge.to_json_obj() == exact.to_json_obj()
+
+
 def test_bachmann_property():
     vals = corpus_ordinals(6)
     for alpha in vals:

@@ -8,10 +8,7 @@ from bracketcalc import (
     OMEGA,
     ONE,
     ZERO,
-    RConj,
     RDia,
-    RTop,
-    RVar,
     add,
     cmp,
     concat,
@@ -35,8 +32,7 @@ from bracketcalc import (
     veblen,
     worm_of_ordinal,
 )
-from bracketcalc.syntax import TOP_WORM, Conj, Diamond, Top, Var
-from bracketcalc.worms import RTOP
+from bracketcalc.syntax import TOP, TOP_WORM, Conj, Diamond, Top, Var
 from corpus import corpus, corpus_ordinals
 
 EPS0 = veblen(ONE, ZERO)
@@ -44,9 +40,9 @@ W = parse_worm
 
 
 def test_signature():
-    assert signature(RTOP) == frozenset()
-    assert signature(RDia(OMEGA, RDia(ZERO, RTOP))) == frozenset((ZERO, OMEGA))
-    assert signature(RConj(RDia(ONE, RVar(1)), RDia(ONE, RVar(2)))) == frozenset((ONE,))
+    assert signature(TOP) == frozenset()
+    assert signature(RDia(OMEGA, RDia(ZERO, TOP))) == frozenset((ZERO, OMEGA))
+    assert signature(Conj(RDia(ONE, Var(1)), RDia(ONE, Var(2)))) == frozenset((ONE,))
 
 
 def test_concat_splice_uparrow():
@@ -84,11 +80,22 @@ def test_star_o_star_examples():
 
 
 def test_tau_examples():
-    assert tau(Top()) == RTOP
-    assert tau(Diamond(W("(())"), Var(1))) == RDia(OMEGA, RVar(1))
-    assert tau(Conj(Var(1), Diamond(TOP_WORM, Var(2)))) == RConj(
-        RVar(1), RDia(ZERO, RVar(2))
+    assert tau(Top()) == TOP
+    assert tau(Diamond(W("(())"), Var(1))) == RDia(OMEGA, Var(1))
+    assert tau(Conj(Var(1), Diamond(TOP_WORM, Var(2)))) == Conj(
+        Var(1), RDia(ZERO, Var(2))
     )
+
+
+def test_rc_and_bracket_formulas_share_nodes():
+    assert tau(TOP) is TOP
+    assert tau(Var(3)) is Var(3)
+    bc = Conj(Var(1), Diamond(TOP_WORM, Var(2)))
+    rc = Conj(Var(1), RDia(ZERO, Var(2)))
+    assert tau(bc) is rc
+    assert iota(TOP) is TOP
+    assert iota(Var(3)) is Var(3)
+    assert iota(rc) is bc
 
 
 def test_worm_of_ordinal_examples():
@@ -100,7 +107,7 @@ def test_worm_of_ordinal_examples():
 def test_iota_examples():
     assert iota_worm(ZERO) == TOP_WORM
     assert iota_worm(OMEGA) == W("(())")
-    assert iota(RDia(ZERO, RVar(1))) == Diamond(TOP_WORM, Var(1))
+    assert iota(RDia(ZERO, Var(1))) == Diamond(TOP_WORM, Var(1))
 
 
 def test_to_nf_examples():
@@ -154,12 +161,12 @@ def _rc_formulas(ordinals, rng, count):
     def rand(depth):
         k = rng.randrange(4 if depth else 2)
         if k == 0:
-            return RTOP
+            return TOP
         if k == 1:
-            return RVar(rng.randrange(1, 6))
+            return Var(rng.randrange(1, 6))
         if k == 2:
             return RDia(rng.choice(ordinals), rand(depth - 1))
-        return RConj(rand(depth - 1), rand(depth - 1))
+        return Conj(rand(depth - 1), rand(depth - 1))
 
     return [rand(3) for _ in range(count)]
 
