@@ -5,13 +5,15 @@ explode while the set of distinct entries stays small.  This module keeps
 the repetition symbolic: a compact worm is a list of items, each either a
 run of one repeated entry or a repeated subsequence, with bigint counts.
 
-Order types of compact worms are folded right to left, one rule per
-repeat shape.  A run of equal entries and a repeated subsequence holding a
-zero entry take closed forms over the repetition count, whatever the
-count.  A repeated zero-free subsequence has no additive closed form: it
-is folded copy by copy, and more than _CHAIN_CAP copies raise
-CompactionLimit.  Descents from nested starts fold many such repeats,
-with counts up to about the number of steps taken.
+Order types of compact worms are folded right to left, one item at a
+time, with entry order types read less a shift mu, at first 0.  A worm
+whose entries are all at least nu is up^nu of the worm of its entries less
+nu, and o(up^nu A) = e^nu(o(A)), with e the hyperexponential (Fernandez-
+Duque and Joosten, Hyperations of Veblen progressions, 2013).  So an item
+whose entries are all above mu is shifted down, with the front of the
+suffix, until it holds an entry of type mu.  Then a run of k entries adds
+k, and a repeated subsequence takes a closed form over its count, whatever
+the count.
 
 The step engine, CompactRunner, bounds the work of a step by two
 invariants rather than by a tuned size: every box it builds holds at most
@@ -59,8 +61,6 @@ from .ordinals import (
 )
 from .syntax import BracketWorm
 
-_CHAIN_CAP = 4096
-
 
 class CompactionLimit(RuntimeError):
     """The trace left the envelope this representation can evaluate."""
@@ -80,13 +80,14 @@ class Item:
 class CW:
     """A compact worm: a tuple of items."""
 
-    __slots__ = ("items", "_length", "_min_o", "_o")
+    __slots__ = ("items", "_length", "_min_o", "_o", "_top")
 
     def __init__(self, items: tuple):
         self.items = items
         self._length = None
         self._min_o = None
         self._o = None
+        self._top = None  # for an entry led by a top entry: see _entry_step
 
     def min_o(self) -> Ordinal:
         # minimum entry order type; only called on nonempty worms
@@ -311,97 +312,86 @@ def _logdown(s: Ordinal, xi: Ordinal) -> Ordinal:
     return val
 
 
-def _run_over(xi: Ordinal, k: int, val: Ordinal) -> Ordinal:
-    """Order type of <xi> repeated k times in front of a worm of type val."""
-    if xi.is_zero():
-        return add(val, nat(k))
-    if val.is_zero():
-        return hyper_exp(xi, nat(k))
-    if val.fin:
-        # the canonical suffix worm starts with a zero entry
-        return add(val, hyper_exp(xi, nat(k)))
-    if len(val.terms) >= 2:
-        t = Ordinal((val.terms[-1],))
-        trunc = Ordinal(val.terms[:-1])
-        return add(trunc, add(ONE, _run_block(xi, k, t)))
-    return _run_block(xi, k, val)
-
-
-def _run_block(xi: Ordinal, k: int, s: Ordinal) -> Ordinal:
-    # order type of <xi>^k followed by the canonical block of principal s
-    ms = _block_min(s)
-    if cmp(xi, ms) <= 0:
-        z = _logdown(s, xi)
-        return hyper_exp(xi, add(z, nat(k)))
-    z = _logdown(s, ms)
-    return hyper_exp(ms, _run_over(left_sub(ms, xi), k, z))
-
-
-def _split_last_zero(seq: CW):
-    """Split items as (H ending with the last zero entry, trailing items B).
-
-    Returns None when the sequence has no zero entry.
-    """
+def _split_last_zero(seq: CW, mu: Ordinal):
+    """Split items at the last entry of type mu, as (H ending with that
+    entry, trailing items B); seq must hold one."""
     items = list(seq.items)
     for i in range(len(items) - 1, -1, -1):
         it = items[i]
         low = o_cw(it.child) if it.is_run else it.child.min_o()
-        if cmp(low, ZERO) > 0:
+        if cmp(low, mu) > 0:
             continue
         if it.is_run:
-            # the last copy of this zero run is the split point
+            # the last copy of this run is the split point
             h = items[:i] + [it]
             b: list = []
         else:
-            inner = _split_last_zero(it.child)
-            assert inner is not None
-            ih, ib = inner
+            ih, ib = _split_last_zero(it.child, mu)
             h = items[:i]
             if it.count > 1:
                 h.append(Item(False, it.child, it.count - 1))
             h.extend(ih.items)
             b = list(ib.items)
         return _mk(h), _mk(b + items[i + 1:])
-    return None
 
 
-def _fold_items(items, val: Ordinal) -> Ordinal:
+def _fold_items(items, val: Ordinal, mu: Ordinal = ZERO) -> Ordinal:
+    """Order type of `items` in front of a worm of type val, each entry
+    type read as left_sub(mu, .); every entry type is at least mu."""
     for it in reversed(items):
-        if it.is_run:
-            val = _run_over(o_cw(it.child), it.count, val)
-        else:
-            val = _seq_over(it.child, it.count, val)
+        val = _fold_item(it, val, mu)
     return val
 
 
-def _seq_over(seq: CW, k: int, val: Ordinal) -> Ordinal:
-    """Order type of `seq` repeated k times in front of type-val suffix."""
-    if k == 0 or not seq.items:
-        return val
-    parts = _split_last_zero(seq)
-    if parts is None:
-        # zero-free repeated segment: no additive closed form; fold it copy
-        # by copy, up to _CHAIN_CAP copies
-        if k > _CHAIN_CAP:
-            raise CompactionLimit("zero-free repeated segment too long")
-        for _ in range(k):
-            val = _fold_items(seq.items, val)
-        return val
-    h, b = parts
-    cs = o_cw(h)
+def _fold_item(it: Item, val: Ordinal, mu: Ordinal) -> Ordinal:
+    low = o_cw(it.child) if it.is_run else it.child.min_o()
+    # shift down until the item holds an entry of type mu: the value is
+    # p + e^nu(...) for each (p, nu) here, innermost last
+    outer: list = []
+    while cmp(low, mu) > 0:
+        if not val.terms or val.fin:
+            # the suffix is empty or starts with a zero entry
+            outer.append((val, left_sub(mu, low)))
+            val, mu = ZERO, low
+        elif len(val.terms) >= 2:
+            # the suffix is the block of the last term of val, a zero entry,
+            # then the rest
+            outer.append((Ordinal(val.terms[:-1], 1), ZERO))
+            val = Ordinal(val.terms[-1:])
+        else:
+            nu = _block_min(val)
+            m = left_sub(mu, low)
+            if cmp(m, nu) < 0:
+                nu = m
+            outer.append((ZERO, nu))
+            val, mu = _logdown(val, nu), add(mu, nu)
+    if it.is_run:
+        val = add(val, nat(it.count))
+    else:
+        val = _seq_over(it.child, it.count, val, mu)
+    for p, nu in reversed(outer):
+        val = add(p, hyper_exp(nu, val))
+    return val
+
+
+def _seq_over(seq: CW, k: int, val: Ordinal, mu: Ordinal) -> Ordinal:
+    """Order type of `seq` repeated k times in front of type-val suffix,
+    each entry type read as left_sub(mu, .); seq holds an entry of type mu."""
+    h, b = _split_last_zero(seq, mu)
+    cs = _fold_items(h.items, ZERO, mu)
     if not b.items:
         return add(val, mul_nat(cs, k))
-    y = add(_fold_items(b.items, val), cs)
+    y = add(_fold_items(b.items, val, mu), cs)
     if k == 1:
         return y
     if cs.fin:
         # successor constant: from the second application on, the value is
         # a successor and each round adds o(B) + cs
-        d = add(o_cw(b), cs)
+        d = add(_fold_items(b.items, ZERO, mu), cs)
         return add(y, mul_nat(d, k - 1))
     # limit constant: every later value ends in the last term of cs
     t_star = Ordinal((cs.terms[-1],))
-    d_full = add(ONE, add(_fold_items(b.items, t_star), cs))
+    d_full = add(ONE, add(_fold_items(b.items, t_star, mu), cs))
     d_pref = Ordinal(d_full.terms[:-1])
     if d_pref.is_zero():
         raise CompactionLimit("degenerate repeated segment")
@@ -525,9 +515,6 @@ class CompactRunner:
         self.active: list = list(_box(cw.items))
         self.cold: list = []  # list of (segment CW, weight), nearest last
         self.steps = 0
-        # id of an entry led by a top entry -> (entry, its step, a run of
-        # that step): dropping the top entry does not depend on the index
-        self._tops: dict = {}
 
     # -- state views
 
@@ -603,7 +590,7 @@ class CompactRunner:
             self.active = list(self.cold.pop()[0].items)
         if not h.items:
             return
-        stepped, head = _entry_step(h, n, self._tops)
+        stepped, head = _entry_step(h, n)
         threshold = o_cw(h)
         # scan for the first entry strictly below the head: the rest of the
         # active zone, then whole cold segments
@@ -666,28 +653,27 @@ class CompactRunner:
                 self.cut(budget - self.steps + 1 + exact)
 
 
-def _entry_step(h: CW, n: int, tops: dict) -> tuple:
+def _entry_step(h: CW, n: int) -> tuple:
     """One fundamental-sequence step of a nonempty entry content worm, as
     (h{n}, a one-entry run of h{n}).
 
     Stepping h steps its leading entry first, and that one its own, down to
     a leading top entry; the chain is walked with an explicit stack, since
-    entries nest thousands deep.  Steps of entries led by a top entry are
-    kept in `tops` by id.
+    entries nest thousands deep.  An entry led by a top entry keeps its
+    step in `_top`, since dropping the top entry does not depend on n.
     """
     chain: list = []  # per level: the items after the leading entry, and it
     cur = h
     while True:
-        got = tops.get(id(cur))
-        if got is not None:
-            _cur, stepped, run = got
+        if cur._top is not None:
+            stepped, run = cur._top
             break
         items = list(cur.items)
         inner = take_head(items)
         if not inner.items:
             stepped = _mk(items)
             run = Item(True, stepped, 1)
-            tops[id(cur)] = (cur, stepped, run)
+            cur._top = stepped, run
             break
         chain.append((items, inner))
         cur = inner

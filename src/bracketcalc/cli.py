@@ -5,7 +5,7 @@ Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
 limit exceeded (nesting too deep for the code that still recurses once per
 level: o_star, to_nf, the ordinal parser, print_ordinal and the compressed
-engine's order-type fold (o_cw, _fold_items, _seq_over); a trace the
+engine's order-type fold (o_cw, _fold_items, _fold_item); a trace the
 compressed engine cannot evaluate; or an ordinal too large to build, such as
 fs of omega**(w+1) at an index of 10**18 or more, whose term tuple overflows
 or cannot be allocated).  Worms and formulas parse and print, and

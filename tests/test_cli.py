@@ -311,6 +311,14 @@ def test_growth_budget_below_the_limit_still_exhausts(capsys):
     )
 
 
+def test_growth_from_a_nested_start_exhausts_its_budget(capsys):
+    # G 3's descent folds zero-free repeated subsequences of every count
+    assert invoke(capsys, "growth", "G", "3", "--budget", "40")[:2] == (
+        3,
+        "BudgetExhausted 40\n",
+    )
+
+
 def test_deep_growth_start_builds_without_recursion(capsys):
     # a(3000) nests 4500 levels deep.  The second step steps its head, which
     # walks the chain of leading entries with an explicit stack
@@ -452,10 +460,12 @@ _argv = st.one_of(
         st.just("step"), st.one_of(_worm_text, _garbage), st.just("--budget"), _small
     ),
     st.tuples(st.just("fs"), st.one_of(_ordinal_text, _garbage), _small),
-    # G 3 is left out: its steps take seconds each from the 20th on
-    st.tuples(
-        st.sampled_from(["F 0", "F 1", "F 2", "F 3", "G 0", "G 1", "G 2"]),
-        st.integers(0, 60),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["F 0", "F 1", "F 2", "F 3", "G 0", "G 1", "G 2"]),
+            st.integers(0, 60),
+        ),
+        st.tuples(st.just("G 3"), st.integers(0, 40)),
     ).map(lambda fm: ("growth", *fm[0].split(), "--budget", str(fm[1]))),
     st.tuples(
         st.sampled_from(["ord", "nf", "fmt"]), _deep.map(lambda n: "(" * n + ")" * n)

@@ -30,8 +30,10 @@ from bracketcalc import (
 from bracketcalc import _compact, fundseq
 from bracketcalc._compact import (
     CW,
+    EMPTY,
     CompactRunner,
     Item,
+    _mk,
     _size,
     from_bracket,
     o_cw,
@@ -55,8 +57,8 @@ def test_repeats_holding_a_zero_fold_in_closed_form(monkeypatch):
     closed = []
     split = _compact._split_last_zero
 
-    def counted_split(seq):
-        parts = split(seq)
+    def counted_split(seq, mu):
+        parts = split(seq, mu)
         closed.append(parts is not None)
         return parts
 
@@ -79,23 +81,63 @@ def test_repeats_holding_a_zero_fold_in_closed_form(monkeypatch):
 
 
 def test_order_type_folds_stay_within_their_run_over_counts(monkeypatch):
-    # _run_over recurses through the module global, so the counter sees
-    # every call.  Measured: 24 298 and 139 619 calls; 197 357 and 191 292
-    # when repeats of up to 4 096 entries were folded copy by copy
+    # _fold_items folds each item through the module global _fold_item, so
+    # the counter sees every item fold.  Measured: 26 053 and 10 956 calls
     calls = 0
-    run_over = _compact._run_over
+    fold_item = _compact._fold_item
 
-    def counted(xi, k, val):
+    def counted(it, val, mu):
         nonlocal calls
         calls += 1
-        return run_over(xi, k, val)
+        return fold_item(it, val, mu)
 
-    monkeypatch.setattr(_compact, "_run_over", counted)
+    monkeypatch.setattr(_compact, "_fold_item", counted)
     step_iter(W("(((())))"), 100, 8)
     assert calls <= 30_000
     calls = 0
     G_witness(3, 22)
-    assert calls <= 150_000
+    assert calls <= 15_000
+
+
+def _random_cw(rng, entries, depth: int) -> CW:
+    # runs of corpus entries, about 15 % of them zero entries, and repeats
+    # nested up to `depth` deep, every count at most 4
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        count = rng.randint(1, 4)
+        if depth and rng.random() < 0.4:
+            items.append(Item(False, _random_cw(rng, entries, depth - 1), count))
+        else:
+            entry = EMPTY if rng.random() < 0.15 else rng.choice(entries)
+            items.append(Item(True, entry, count))
+    return _mk(items)
+
+
+def test_random_compact_worms_fold_to_their_plain_order_types():
+    rng = random.Random(26)
+    entries = [from_bracket(w) for w in corpus(5)]
+    zero_free = 0
+    for _ in range(2000):
+        cw = _random_cw(rng, entries, 3)
+        zero_free += sum(
+            not it.is_run and cmp(it.child.min_o(), ZERO) > 0 for it in cw.items
+        )
+        plain = to_bracket(cw)
+        assert o_cw(cw) == o_star(plain), print_worm(plain)
+    assert zero_free > 500
+
+
+def test_zero_free_repeats_fold_whatever_the_count():
+    # every entry of S has order type at least 1, so a repeat of S holds no
+    # zero entry and is folded shifted down by 1
+    plain = W("(())((()))")
+    s = from_bracket(plain)
+    assert s.min_o() == nat(1)
+    for k in range(1, 65):
+        got = o_cw(CW((Item(False, s, k),)))
+        assert got == o_star(BracketWorm(plain.entries * k)), k
+    long = o_cw(CW((Item(False, s, 5000),)))
+    assert cmp(long, o_cw(CW((Item(False, s, 5001),)))) < 0
 
 
 def test_conversion_round_trip():
