@@ -62,10 +62,6 @@ from .ordinals import (
 from .syntax import BracketWorm
 
 
-class CompactionLimit(RuntimeError):
-    """The trace left the envelope this representation can evaluate."""
-
-
 class Item:
     __slots__ = ("is_run", "child", "count")
 
@@ -224,8 +220,7 @@ def take_head(items: list) -> CW:
 def split_below(items, threshold: Ordinal, whole: bool = False):
     """Split an item list before its first entry with order type < threshold.
 
-    Returns (prefix items, suffix items or None when no entry is below,
-    least entry order type of the prefix or None when the prefix is empty).
+    Returns (prefix items, suffix items or None when no entry is below).
     One pass down the split path: a repeated subsequence holding the split
     point is opened in place, and what follows it at each level is kept
     aside until the innermost level closes the suffix.  With `whole`, a
@@ -234,7 +229,6 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
     """
     prefix: list = []
     outer: list = []  # per opened level: the items following it there
-    low_min = None
     while True:
         for i, it in enumerate(items):
             child = it.child
@@ -247,8 +241,6 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
                 if low is None:
                     low = child.min_o()
             if cmp(low, threshold) >= 0:
-                if low_min is None or cmp(low, low_min) < 0:
-                    low_min = low
                 continue
             prefix.extend(items[:i])
             if it.is_run or (whole and _leads_below(child, threshold)):
@@ -256,7 +248,7 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
                 suffix = list(items[i:])
                 for rest in reversed(outer):
                     suffix.extend(rest)
-                return prefix, suffix, low_min
+                return prefix, suffix
             rest = [Item(False, child, it.count - 1)] if it.count > 1 else []
             rest.extend(items[i + 1:])
             outer.append(rest)
@@ -266,7 +258,7 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
             # an opened subsequence always holds an entry below threshold
             assert not outer
             prefix.extend(items)
-            return prefix, None, low_min
+            return prefix, None
 
 
 def _leads_below(cw: CW, threshold: Ordinal) -> bool:
@@ -293,29 +285,23 @@ def _block_min(s: Ordinal) -> Ordinal:
 
 
 def _logdown(s: Ordinal, xi: Ordinal) -> Ordinal:
-    # the z with hyper_exp(xi, z) = s; s must be in the range of e**xi
+    # the z with hyper_exp(xi, z) = s; the fold calls it only with
+    # xi <= _block_min(s), which puts s in the range of e**xi by the shift
+    # lemma: a factor of val's level is inverted, one of lower level fixes val
     val = s
     for t in xi.terms:
-        eta = log_principal(Ordinal((t,)))
         vt = val.terms[0]
-        c = cmp(vt.level, eta)
-        if c == 0:
+        if cmp(vt.level, log_principal(Ordinal((t,)))) == 0:
             val = add(ONE, vt.arg)
-        elif c > 0:
-            pass  # val is a fixpoint of this factor
-        else:
-            raise CompactionLimit("value outside hyperexponential range")
     for _ in range(xi.fin):
-        if not val.terms:
-            raise CompactionLimit("value outside exponential range")
         val = log_principal(val)
     return val
 
 
 def _split_last_zero(seq: CW, mu: Ordinal):
-    """Split items at the last entry of type mu, as (H ending with that
-    entry, trailing items B); seq must hold one."""
-    items = list(seq.items)
+    """Split the items of seq at its last entry of type mu, as (the items
+    up to that entry, the items after it); seq must hold one."""
+    items = seq.items
     for i in range(len(items) - 1, -1, -1):
         it = items[i]
         low = o_cw(it.child) if it.is_run else it.child.min_o()
@@ -323,16 +309,12 @@ def _split_last_zero(seq: CW, mu: Ordinal):
             continue
         if it.is_run:
             # the last copy of this run is the split point
-            h = items[:i] + [it]
-            b: list = []
-        else:
-            ih, ib = _split_last_zero(it.child, mu)
-            h = items[:i]
-            if it.count > 1:
-                h.append(Item(False, it.child, it.count - 1))
-            h.extend(ih.items)
-            b = list(ib.items)
-        return _mk(h), _mk(b + items[i + 1:])
+            return list(items[:i + 1]), list(items[i + 1:])
+        ih, ib = _split_last_zero(it.child, mu)
+        h = list(items[:i])
+        if it.count > 1:
+            h.append(Item(False, it.child, it.count - 1))
+        return h + ih, ib + list(items[i + 1:])
 
 
 def _fold_items(items, val: Ordinal, mu: Ordinal = ZERO) -> Ordinal:
@@ -378,23 +360,21 @@ def _seq_over(seq: CW, k: int, val: Ordinal, mu: Ordinal) -> Ordinal:
     """Order type of `seq` repeated k times in front of type-val suffix,
     each entry type read as left_sub(mu, .); seq holds an entry of type mu."""
     h, b = _split_last_zero(seq, mu)
-    cs = _fold_items(h.items, ZERO, mu)
-    if not b.items:
+    cs = _fold_items(h, ZERO, mu)
+    if not b:
         return add(val, mul_nat(cs, k))
-    y = add(_fold_items(b.items, val, mu), cs)
+    y = add(_fold_items(b, val, mu), cs)
     if k == 1:
         return y
     if cs.fin:
         # successor constant: from the second application on, the value is
         # a successor and each round adds o(B) + cs
-        d = add(_fold_items(b.items, ZERO, mu), cs)
+        d = add(_fold_items(b, ZERO, mu), cs)
         return add(y, mul_nat(d, k - 1))
     # limit constant: every later value ends in the last term of cs
     t_star = Ordinal((cs.terms[-1],))
-    d_full = add(ONE, add(_fold_items(b.items, t_star, mu), cs))
+    d_full = add(ONE, add(_fold_items(b, t_star, mu), cs))
     d_pref = Ordinal(d_full.terms[:-1])
-    if d_pref.is_zero():
-        raise CompactionLimit("degenerate repeated segment")
     y_base = Ordinal(y.terms[:-1])
     return add(y_base, add(mul_nat(d_pref, k - 2), d_full))
 
@@ -595,13 +575,10 @@ class CompactRunner:
         # scan for the first entry strictly below the head: the rest of the
         # active zone, then whole cold segments
         scanned: list = []
-        low_min = None
         items = self.active
         while True:
-            pre, suffix, low = split_below(items, threshold, whole=True)
+            pre, suffix = split_below(items, threshold, whole=True)
             scanned.extend(pre)
-            if low is not None and (low_min is None or cmp(low, low_min) < 0):
-                low_min = low
             if suffix is not None or not self.cold:
                 break
             items = [Item(False, self.cold.pop()[0], 1)]
@@ -609,7 +586,7 @@ class CompactRunner:
         rest = known + scanned
         if len(rest) >= _FANOUT and len(scanned) > 1:
             box = CW(_box(scanned))
-            box._min_o = low_min
+            box.min_o()
             rest = known + (Item(False, box, 1),)
         if len(rest) >= _FANOUT:
             rest = _box(rest, 1)
@@ -679,7 +656,7 @@ def _entry_step(h: CW, n: int) -> tuple:
         cur = inner
     while chain:
         items, inner = chain.pop()
-        prefix, suffix, _low = split_below(items, o_cw(inner))
+        prefix, suffix = split_below(items, o_cw(inner))
         bpref = _mk([run] + prefix)
         stepped = _mk([Item(False, bpref, n + 1)] + (suffix or []))
         run = Item(True, stepped, 1)

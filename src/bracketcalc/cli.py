@@ -5,12 +5,12 @@ Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
 limit exceeded (nesting too deep for the code that still recurses once per
 level: o_star, to_nf, the ordinal parser, print_ordinal and the compressed
-engine's order-type fold (o_cw, _fold_items, _fold_item); a trace the
-compressed engine cannot evaluate; or an ordinal too large to build, such as
-fs of omega**(w+1) at an index of 10**18 or more, whose term tuple overflows
-or cannot be allocated).  Worms and formulas parse and print, and
-certificates encode and decode, at any depth; only a certificate outside the
-v1 layout is still read by json's scanner, which recurses.
+engine's order-type fold (o_cw, _fold_items, _fold_item); or an ordinal too
+large to build, such as fs of omega**(w+1) at an index of 10**18 or more,
+whose term tuple overflows or cannot be allocated).  Worms and formulas
+parse and print, and certificates encode and decode, at any depth; only a
+certificate outside the v1 layout is still read by json's scanner, which
+recurses.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def main(argv=None) -> int:
     except ParseError as err:
         return _parse_error(err)
     except (RuntimeError, OverflowError, MemoryError) as err:
-        # RecursionError, the compact engine's CompactionLimit, the prover's
-        # exhausted fundamental sequence search, and ordinals too large to build
+        # RecursionError, the prover's exhausted fundamental sequence search,
+        # and ordinals too large to build
         print(
             "error: limit exceeded: %s" % (str(err) or type(err).__name__),
             file=sys.stderr,

@@ -28,7 +28,7 @@ from .ordinals import (
     veblen_iter,
 )
 from .syntax import TOP_WORM, BracketWorm, print_worm
-from .worms import o_star
+from .worms import first_below, o_star
 
 
 def fs_bracket(a: BracketWorm, n: int) -> BracketWorm:
@@ -38,12 +38,7 @@ def fs_bracket(a: BracketWorm, n: int) -> BracketWorm:
         return a
     if e[0] == TOP_WORM:
         return BracketWorm(e[1:])
-    o1 = o_star(e[0])
-    split = len(e)
-    for i in range(1, len(e)):
-        if cmp(o_star(e[i]), o1) < 0:
-            split = i
-            break
+    split = first_below(e, o_star(e[0]))
     bpref = (fs_bracket(e[0], n),) + e[1:split]
     return BracketWorm(bpref * (n + 1) + e[split:])
 

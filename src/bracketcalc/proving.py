@@ -50,7 +50,7 @@ from .syntax import (
     Var,
     print_worm,
 )
-from .worms import iota_worm, o_star, to_nf
+from .worms import first_below, iota_worm, o_star, to_nf
 
 _FS_SEARCH_CAP = 200000
 
@@ -528,12 +528,7 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
         # a = () rest steps to rest, and a is literally () rest
         return ax_id(wf(a))
     a1 = e[0]
-    o1 = o_star(a1)
-    l = len(e)
-    for i in range(1, len(e)):
-        if cmp(o_star(e[i]), o1) < 0:
-            l = i
-            break
+    l = first_below(e, o_star(a1))
     a1n = fs_bracket(a1, n)
     r0 = agtan(a1, n)
     rest = _slice(a, 1)
@@ -681,14 +676,7 @@ def _dominate_grounded(big: BracketWorm, small: BracketWorm) -> Certificate:
 def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     # equal nonzero heads: merge the shifted prefixes, then the remainders
     fa, fb = wf(a), wf(b)
-
-    def split_at(w: BracketWorm) -> int:
-        for i, e in enumerate(w.entries):
-            if cmp(o_star(e), alpha) < 0:
-                return i
-        return len(w.entries)
-
-    ia, ib = split_at(a), split_at(b)
+    ia, ib = first_below(a.entries, alpha), first_below(b.entries, alpha)
     p, r = _slice(a, 0, ia), _slice(a, ia)
     q, s = _slice(b, 0, ib), _slice(b, ib)
     p0, q0 = _nf_entries(p), _nf_entries(q)

@@ -119,6 +119,15 @@ def o_star(a: BracketWorm) -> Ordinal:
     return a._o
 
 
+def first_below(entries: tuple, alpha: Ordinal) -> int:
+    """The index of the first bracket entry whose order type is below alpha,
+    else the number of entries."""
+    for i, e in enumerate(entries):
+        if cmp(o_star(e), alpha) < 0:
+            return i
+    return len(entries)
+
+
 def tau(f: BracketFormula) -> BracketFormula:
     """Translate a bracket formula into an RC formula."""
     if isinstance(f, (Top, Var)):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cmp_to_key
 from itertools import islice
 from pathlib import Path
 
@@ -21,11 +22,13 @@ from bracketcalc import (
     a_seq,
     cmp,
     fs_bracket,
+    hyper_exp,
     nat,
     o_star,
     parse_worm,
     print_worm,
     step_iter,
+    worm_of_ordinal,
 )
 from bracketcalc import _compact, fundseq
 from bracketcalc._compact import (
@@ -124,7 +127,28 @@ def test_random_compact_worms_fold_to_their_plain_order_types():
         )
         plain = to_bracket(cw)
         assert o_cw(cw) == o_star(plain), print_worm(plain)
+        # a worm dominates its tails, so each extra copy raises the type
+        twice, thrice = (o_cw(CW((Item(False, cw, k),))) for k in (2, 3))
+        assert cmp(twice, thrice) < 0, print_worm(plain)
     assert zero_free > 500
+
+
+def test_principal_values_shift_down_by_their_least_entry():
+    # the shift lemma o(up^nu A) = e^nu(o(A)) puts a principal infinite s in
+    # the range of e^nu for every nu up to the least entry of its canonical
+    # worm, which _block_min gives; there _logdown inverts e^nu
+    ordinals = corpus_ordinals(6)
+    principal = [s for s in ordinals if not s.fin and len(s.terms) == 1]
+    assert len(principal) == 48
+    pairs = 0
+    for s in principal:
+        low = _compact._block_min(s)
+        assert low == min(worm_of_ordinal(s), key=cmp_to_key(cmp))
+        for nu in ordinals:
+            if cmp(nu, low) <= 0:
+                assert hyper_exp(nu, _compact._logdown(s, nu)) is s
+                pairs += 1
+    assert pairs > 1000
 
 
 def test_zero_free_repeats_fold_whatever_the_count():
@@ -548,25 +572,20 @@ def test_million_step_witness_peak_rss():
 
 
 def _split_below_oracle(items, threshold):
-    low_min = None
     for i, it in enumerate(items):
         child = it.child
         low = o_cw(child) if it.is_run else child.min_o()
         if cmp(low, threshold) >= 0:
-            if low_min is None or cmp(low, low_min) < 0:
-                low_min = low
             continue
         prefix = list(items[:i])
         if it.is_run:
-            return prefix, list(items[i:]), low_min
-        sub_prefix, suffix, sub_min = _split_below_oracle(child.items, threshold)
+            return prefix, list(items[i:])
+        sub_prefix, suffix = _split_below_oracle(child.items, threshold)
         if it.count > 1:
             suffix.append(Item(False, child, it.count - 1))
         suffix.extend(items[i + 1:])
-        if sub_min is not None and (low_min is None or cmp(sub_min, low_min) < 0):
-            low_min = sub_min
-        return prefix + sub_prefix, suffix, low_min
-    return list(items), None, low_min
+        return prefix + sub_prefix, suffix
+    return list(items), None
 
 
 def _same_split(got, want):
@@ -576,7 +595,7 @@ def _same_split(got, want):
             return None
         return [(it.is_run, id(it.child), it.count) for it in items]
 
-    return (ids(got[0]), ids(got[1]), got[2]) == (ids(want[0]), ids(want[1]), want[2])
+    return (ids(got[0]), ids(got[1])) == (ids(want[0]), ids(want[1]))
 
 
 def test_split_below_matches_recursive_oracle():
@@ -617,8 +636,8 @@ def test_split_below_opens_a_deep_chain_without_recursion():
         cw._min_o = o_cw(low)
     items = (Item(True, high, 3), Item(False, cw, 4))
     got = split_below(items, threshold)
-    prefix, suffix, low_min = got
-    assert len(prefix) == 5001 and low_min is o_cw(high)
+    prefix, suffix = got
+    assert len(prefix) == 5001
     assert len(suffix) == 1 + 2 * 5000 + 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)
