@@ -101,12 +101,10 @@ EMPTY = CW(())
 
 
 def _mk(items: list) -> CW:
-    """Normalize an item list: drop dead items, merge equal adjacent runs."""
+    """Normalize a list of live items: merge equal adjacent runs."""
     out: list = []
     last = None
     for it in items:
-        if it.count <= 0 or (not it.is_run and not it.child.items):
-            continue
         if not it.is_run and len(it.child.items) == 1:
             # push the count into a lone inner item
             inner = it.child.items[0]
@@ -511,13 +509,13 @@ class CompactRunner:
 
     # -- cold stack helpers
 
-    def _push_cold(self, items: list, weight: int = 1) -> None:
+    def _push_cold(self, items: list) -> None:
+        # items: a nonempty list of live items
         seg = _mk(items)
-        if not seg.items:
-            return
         if len(seg.items) > _FANOUT:
             seg = CW(_box(seg.items))
         seg.min_o()
+        weight = 1
         while self.cold and self.cold[-1][1] <= weight:
             other, w = self.cold.pop()
             seg = _box2(seg, other)

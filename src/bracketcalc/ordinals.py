@@ -155,11 +155,9 @@ def left_sub(mu: Ordinal, xi: Ordinal) -> Ordinal:
     mt, xt = mu.terms, xi.terms
     while i < len(mt) and i < len(xt) and mt[i] == xt[i]:
         i += 1
-    if i < len(mt):
-        # mu diverges below xi at term i; everything of mu from i on is
-        # absorbed by xi.terms[i]
-        return Ordinal(xt[i:], xi.fin)
     if i < len(xt):
+        # mu < xi, so mu cannot match every term of xi and keep terms left
+        # over; whatever mu has from term i on is absorbed by xi.terms[i]
         return Ordinal(xt[i:], xi.fin)
     return Ordinal((), xi.fin - mu.fin)
 

@@ -38,7 +38,7 @@ from .calculus import (
     worm_formula as wf,
 )
 from .fundseq import fs_bracket
-from .ordinals import Ordinal, add, cmp, left_sub
+from .ordinals import ONE, Ordinal, add, cmp, left_sub
 from .syntax import (
     TOP,
     TOP_WORM,
@@ -50,7 +50,7 @@ from .syntax import (
     Var,
     print_worm,
 )
-from .worms import first_below, iota_worm, o_star, to_nf
+from .worms import first_below, iota_worm, o_star, to_nf, uparrow_bracket
 
 _FS_SEARCH_CAP = 200000
 
@@ -217,21 +217,17 @@ def tail_strict(w: BracketWorm, i: int) -> Certificate:
     return c
 
 
-def suffix_plain(w: BracketWorm, i: int, side_for) -> Certificate:
-    """Plain w |- w[i:] when every dropped entry dominates the suffix head.
-
-    side_for(b, a) must produce a certificate for b at-or-below a; it is
-    called with the suffix head against each dropped entry.
-    """
-    if i == 0:
-        return ax_id(wf(w))
+def suffix_plain(w: BracketWorm, i: int) -> Certificate:
+    """Plain w |- w[i:] for i >= 1 when every dropped entry dominates the
+    suffix head."""
+    assert 1 <= i <= len(w.entries)
     if i == len(w.entries):
         return ax_top(wf(w))
     r = w.entries[i]
     rest_f = wf(_slice(w, i + 1))
-    c = mono_absorb(w.entries[i - 1], r, ax_id(rest_f), side_for(r, w.entries[i - 1]))
+    c = mono_absorb(w.entries[i - 1], r, ax_id(rest_f), _order_side(r, w.entries[i - 1]))
     for j in range(i - 2, -1, -1):
-        c = mono(w.entries[j], r, c, side_for(r, w.entries[j]))
+        c = mono(w.entries[j], r, c, _order_side(r, w.entries[j]))
         c = cut(c, mono_absorb(r, r, ax_id(rest_f), side_refl(r)))
     return c
 
@@ -270,33 +266,13 @@ def _strict_side(b: BracketWorm, a: BracketWorm) -> Certificate:
 
 
 def _order_side(b: BracketWorm, a: BracketWorm) -> Certificate:
-    """Certificate witnessing b at-or-below a, plain when order types match."""
-    if b == a:
-        return side_refl(a)
-    c = cmp(o_star(b), o_star(a))
-    assert c <= 0, "order side precondition violated"
-    if c == 0:
-        return EQw(a, b)
-    return GTw(a, b)
+    """Certificate witnessing b at-or-below a.  Distinct worms of equal
+    order type never reach it: lifted labels are canonical, and a suffix
+    head lies strictly below every entry it drops."""
+    return side_refl(a) if b == a else GTw(a, b)
 
 
 # --- normal form certificates ---------------------------------------------------
-
-
-def _first_zero(w: BracketWorm):
-    for i, e in enumerate(w.entries):
-        if not e.entries:
-            return i
-    return None
-
-
-def _min_entry_o(w: BracketWorm) -> Ordinal:
-    best = None
-    for e in w.entries:
-        v = o_star(e)
-        if best is None or cmp(v, best) < 0:
-            best = v
-    return best
 
 
 def _nf_entries(w: BracketWorm) -> BracketWorm:
@@ -331,8 +307,8 @@ def STD(w: BracketWorm) -> Certificate:
     n = to_nf(w)
     if w == n:
         return ax_id(wf(w))
-    i = _first_zero(w)
-    if i is not None:
+    i = first_below(w.entries, ONE)
+    if i < len(w.entries):
         out = _std_grounded(w, n, i)
     else:
         out = _std_shifted(w)
@@ -374,7 +350,7 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
 
 
 def _std_shifted(w: BracketWorm) -> Certificate:
-    mu = _min_entry_o(w)
+    mu = min(map(o_star, w.entries))
     w0 = _nf_entries(w)
     lifted = lift_cert(mu, STD(_lowered(mu, w)))
     assert lifted.conclusion.lhs == wf(w0)
@@ -389,8 +365,8 @@ def DTS(w: BracketWorm) -> Certificate:
     n = to_nf(w)
     if w == n:
         return ax_id(wf(w))
-    i = _first_zero(w)
-    if i is not None:
+    i = first_below(w.entries, ONE)
+    if i < len(w.entries):
         out = _dts_grounded(w, n, i)
     else:
         out = _dts_shifted(w)
@@ -417,7 +393,7 @@ def _dts_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
 
 
 def _dts_shifted(w: BracketWorm) -> Certificate:
-    mu = _min_entry_o(w)
+    mu = min(map(o_star, w.entries))
     w0 = _nf_entries(w)
     lifted = lift_cert(mu, DTS(_lowered(mu, w)))
     assert formula_worm(lifted.conclusion.rhs) == w0
@@ -681,7 +657,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     q, s = _slice(b, 0, ib), _slice(b, ib)
     p0, q0 = _nf_entries(p), _nf_entries(q)
     m_hat, f_hat, b_hat = merge_worms(_lowered(alpha, p), _lowered(alpha, q))
-    m = BracketWorm(tuple(iota_worm(add(alpha, o_star(e))) for e in m_hat.entries))
+    m = uparrow_bracket(alpha, m_hat)
     f_lift = lift_cert(alpha, f_hat)
     b_lift = lift_cert(alpha, b_hat)
     assert f_lift.conclusion.lhs == Conj(wf(p0), wf(q0))
@@ -700,8 +676,8 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
         c_worm = m
         fwd = c_m
     else:
-        c_r = cut(ax_conj_l(fa, fb), suffix_plain(a, ia, _order_side))
-        c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib, _order_side))
+        c_r = cut(ax_conj_l(fa, fb), suffix_plain(a, ia))
+        c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib))
         c_k = cut(conj_intro(c_r, c_s), fk)
         c_worm = _concat_w(m, k)
         fwd = derive_concat(c_m, c_k, _strict_side)
@@ -719,11 +695,10 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     back_p = back_side(p, p0, ax_conj_l(wf(p0), wf(q0)))
     back_q = back_side(q, q0, ax_conj_r(wf(p0), wf(q0)))
     if not k.entries:
-        back_a = back_p if not r.entries else None
-        back_b = back_q if not s.entries else None
-        assert back_a is not None and back_b is not None
+        assert not r.entries and not s.entries
+        back_a, back_b = back_p, back_q
     else:
-        d_k = suffix_plain(c_worm, len(m.entries), _order_side)
+        d_k = suffix_plain(c_worm, len(m.entries))
         d_rs = cut(d_k, bk)
         back_a = back_p
         if r.entries:

@@ -209,6 +209,9 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
         ("nf", "(" * 400 + ")" * 400),
         # the third step folds an order type once per nesting level
         ("growth", "G", "600", "--budget", "3"),
+        # nests 3 deep, but lift_cert lifts a formula once per diamond,
+        # by recursion
+        ("prove", "le", "((()))" + "(())" * 1500, "((()))"),
         # mul_nat's term tuple overflows a C index, or cannot be allocated;
         # smaller indices than these allocate before they fail
         ("fs", "phi(0,w+1)", str(10**20)),

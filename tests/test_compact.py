@@ -498,6 +498,37 @@ def test_budget_boundary_with_cuts(monkeypatch):
             assert G_witness(m, budget) == want, (m, budget)
 
 
+def _live_items(runner) -> int:
+    """Assert that every item reachable from the runner's state counts at
+    least one copy and that every repeated child has items, as _mk
+    assumes; return how many distinct items were seen."""
+    seen = {}  # id -> item, which keeps every id seen in use
+    stack = list(runner.active) + [Item(False, seg, 1) for seg, _w in runner.cold]
+    while stack:
+        it = stack.pop()
+        if id(it) in seen:
+            continue
+        seen[id(it)] = it
+        assert it.count >= 1
+        assert it.is_run or it.child.items
+        stack.extend(it.child.items)
+    return len(seen)
+
+
+def test_runner_builds_only_live_items():
+    shallow = [w for w in corpus(5) if w.entries and _depth(w) <= 2]
+    assert len(shallow) == 31
+    starts = [(w, 300) for w in shallow]
+    starts.append((BracketWorm((TOP_WORM,) + a_seq(3).entries), 22))
+    checked = 0
+    for start, steps in starts:
+        runner = CompactRunner(start)
+        while not runner.finished and runner.steps < steps:
+            runner.step()
+            checked += _live_items(runner)
+    assert checked > 100000
+
+
 def test_budgeted_descents_run_in_bounded_memory():
     # the traced heap peak of a budgeted descent stays under one bound at
     # any budget; without the horizon G_witness(2, 10**5) peaks near 25 MB
