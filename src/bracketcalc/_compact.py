@@ -215,15 +215,15 @@ def take_head(items: list) -> CW:
     return it.child
 
 
-def split_below(items, threshold: Ordinal, whole: bool = False):
+def split_below(items, threshold: Ordinal):
     """Split an item list before its first entry with order type < threshold.
 
     Returns (prefix items, suffix items or None when no entry is below).
     One pass down the split path: a repeated subsequence holding the split
     point is opened in place, and what follows it at each level is kept
-    aside until the innermost level closes the suffix.  With `whole`, a
-    repeated subsequence whose first item is a run below the threshold is
-    not opened: it starts the suffix as it is.
+    aside until the innermost level closes the suffix.  A repeated
+    subsequence whose first item is a run below the threshold starts the
+    suffix as it is, sharing its child and the order types cached on it.
     """
     prefix: list = []
     outer: list = []  # per opened level: the items following it there
@@ -241,8 +241,11 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
             if cmp(low, threshold) >= 0:
                 continue
             prefix.extend(items[:i])
-            if it.is_run or (whole and _leads_below(child, threshold)):
-                # the very first copy is the split point
+            if it.is_run or (
+                child.items[0].is_run
+                and cmp(o_cw(child.items[0].child), threshold) < 0
+            ):
+                # the very first entry is the split point
                 suffix = list(items[i:])
                 for rest in reversed(outer):
                     suffix.extend(rest)
@@ -257,11 +260,6 @@ def split_below(items, threshold: Ordinal, whole: bool = False):
             assert not outer
             prefix.extend(items)
             return prefix, None
-
-
-def _leads_below(cw: CW, threshold: Ordinal) -> bool:
-    lead = cw.items[0]
-    return lead.is_run and cmp(o_cw(lead.child), threshold) < 0
 
 
 # --- order types ---------------------------------------------------------------
@@ -359,8 +357,6 @@ def _seq_over(seq: CW, k: int, val: Ordinal, mu: Ordinal) -> Ordinal:
     each entry type read as left_sub(mu, .); seq holds an entry of type mu."""
     h, b = _split_last_zero(seq, mu)
     cs = _fold_items(h, ZERO, mu)
-    if not b:
-        return add(val, mul_nat(cs, k))
     y = add(_fold_items(b, val, mu), cs)
     if k == 1:
         return y
@@ -400,8 +396,10 @@ def o_cw(cw: CW) -> Ordinal:
 #    _min_o set when it is built: the prefix of a step, each suffix pushed
 #    to the cold stack, and a long start list.  So split_below decides an
 #    item with one cmp, opens at most _FANOUT items per level, and never
-#    calls min_o() recursively.  A repeated subsequence that starts with
-#    the split point goes to the suffix whole, not unrolled.
+#    calls min_o() recursively.  In every split, _entry_step's too, a
+#    repeated subsequence that starts with the split point goes to the
+#    suffix whole, not unrolled: it shares its child, whose _o and _min_o
+#    stay cached, where unrolled copies would be folded item by item.
 # 2. A step whose head is a least entry of the leading box (the stepped
 #    head of every prefix is) takes the rest of that box and its other
 #    copies into the new prefix unscanned: none of them is below the head.
@@ -575,7 +573,7 @@ class CompactRunner:
         scanned: list = []
         items = self.active
         while True:
-            pre, suffix = split_below(items, threshold, whole=True)
+            pre, suffix = split_below(items, threshold)
             scanned.extend(pre)
             if suffix is not None or not self.cold:
                 break

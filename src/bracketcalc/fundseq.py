@@ -51,7 +51,6 @@ class Trace:
     terminated: bool
     steps_used: int
     budget: int
-    window: int
     head: tuple  # first steps of the trace, including the start
     tail: tuple  # last steps of the trace; empty if head covers everything
 
@@ -143,7 +142,6 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         terminated=terminated,
         steps_used=steps,
         budget=budget,
-        window=window,
         head=tuple(head),
         tail=tuple(tail),
     )
@@ -200,7 +198,6 @@ def descend(xi: Ordinal, budget: int, window: int = 64) -> Trace:
         terminated=terminated,
         steps_used=steps,
         budget=budget,
-        window=window,
         head=tuple(head),
         tail=tuple(tail),
     )

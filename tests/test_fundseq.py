@@ -177,7 +177,7 @@ def uncut_step_iter(a, budget: int, window: int) -> Trace:
                 break
             tail.append(worm)
         tail.reverse()
-    return Trace(a, terminated, steps, budget, window, tuple(head), tuple(tail))
+    return Trace(a, terminated, steps, budget, tuple(head), tuple(tail))
 
 
 def test_step_iter_horizon_keeps_the_tail_exact():
