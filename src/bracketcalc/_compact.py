@@ -46,6 +46,8 @@ The memory of a budgeted descent stays bounded whatever the budget.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .ordinals import (
     ONE,
     ZERO,
@@ -100,30 +102,14 @@ class CW:
 EMPTY = CW(())
 
 
-def _mk(items: list) -> CW:
-    """Normalize a list of live items: merge equal adjacent runs."""
-    out: list = []
-    last = None
-    for it in items:
-        if not it.is_run and len(it.child.items) == 1:
-            # push the count into a lone inner item
-            inner = it.child.items[0]
-            it = Item(inner.is_run, inner.child, inner.count * it.count)
-        if last is not None and last.is_run and it.is_run and last.child is it.child:
-            last = Item(True, it.child, last.count + it.count)
-            out[-1] = last
-        else:
-            out.append(it)
-            last = it
-    return CW(tuple(out)) if out else EMPTY
-
-
 # --- conversion --------------------------------------------------------------
 
 
 def from_bracket(w: BracketWorm) -> CW:
     # post-order with an explicit stack, since worms nest thousands deep;
-    # equal entries share one compact worm
+    # equal entries share one compact worm, and each block of equal
+    # adjacent entries becomes one run.  No other step merges runs: a
+    # compact worm is kept as the split or step that built it left it
     built: dict = {}
     stack = [w]
     while stack:
@@ -136,7 +122,10 @@ def from_bracket(w: BracketWorm) -> CW:
             stack.extend(pending)
             continue
         stack.pop()
-        built[cur] = _mk([Item(True, built[e], 1) for e in cur.entries])
+        items = tuple(
+            Item(True, built[e], len(list(g))) for e, g in groupby(cur.entries)
+        )
+        built[cur] = CW(items) if items else EMPTY
     return built[w]
 
 
@@ -405,15 +394,15 @@ def o_cw(cw: CW) -> Ordinal:
 #    copies into the new prefix unscanned: none of them is below the head.
 #
 # The new prefix is that known part followed by what the scan collected.
-# Only when together they reach _FANOUT items is the scanned part (and if
-# need be the whole) put into boxes, so a prefix reuses the boxes of the
-# last one instead of regrouping them.
+# Only when together they reach _FANOUT items are they put into boxes, and
+# the known part's boxes go into the new boxes whole, so a prefix reuses
+# the boxes of the last one instead of opening them.
 
 _FANOUT = 16
 
 
 def _box(items, spare: int = 0) -> tuple:
-    """Group normalized items into annotated boxes of at most _FANOUT items,
+    """Group items into annotated boxes of at most _FANOUT items,
     level by level, until at most _FANOUT - spare items remain."""
     while len(items) > _FANOUT - spare:
         parts = -(-len(items) // _FANOUT)
@@ -427,17 +416,11 @@ def _box(items, spare: int = 0) -> tuple:
     return tuple(items)
 
 
-def _box2(a: CW, b: CW) -> CW:
-    box = CW((Item(False, a, 1), Item(False, b, 1)))
-    box._min_o = a._min_o if cmp(a._min_o, b._min_o) <= 0 else b._min_o
-    return box
-
-
 def snapshot_cw(active: tuple, cold) -> CW:
     """The compact worm of a runner state: its active items and its cold
     (segment, weight) pairs, nearest last."""
     # active items are live and cold segments nonempty, which is all a
-    # compact worm needs, so this skips the _mk pass
+    # compact worm needs
     return CW(active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
 
 
@@ -509,14 +492,13 @@ class CompactRunner:
 
     def _push_cold(self, items: list) -> None:
         # items: a nonempty list of live items
-        seg = _mk(items)
-        if len(seg.items) > _FANOUT:
-            seg = CW(_box(seg.items))
+        seg = CW(_box(items))
         seg.min_o()
         weight = 1
         while self.cold and self.cold[-1][1] <= weight:
             other, w = self.cold.pop()
-            seg = _box2(seg, other)
+            seg = CW((Item(False, seg, 1), Item(False, other, 1)))
+            seg.min_o()
             weight += w
         self.cold.append((seg, weight))
 
@@ -578,14 +560,7 @@ class CompactRunner:
             if suffix is not None or not self.cold:
                 break
             items = [Item(False, self.cold.pop()[0], 1)]
-        scanned = _mk(scanned).items
-        rest = known + scanned
-        if len(rest) >= _FANOUT and len(scanned) > 1:
-            box = CW(_box(scanned))
-            box.min_o()
-            rest = known + (Item(False, box, 1),)
-        if len(rest) >= _FANOUT:
-            rest = _box(rest, 1)
+        rest = _box(known + tuple(scanned), 1)
         if rest:
             # everything after the stepped head is at least the old head
             bpref = CW((head,) + rest)
@@ -644,7 +619,7 @@ def _entry_step(h: CW, n: int) -> tuple:
         items = list(cur.items)
         inner = take_head(items)
         if not inner.items:
-            stepped = _mk(items)
+            stepped = CW(tuple(items)) if items else EMPTY
             run = Item(True, stepped, 1)
             cur._top = stepped, run
             break
@@ -653,7 +628,10 @@ def _entry_step(h: CW, n: int) -> tuple:
     while chain:
         items, inner = chain.pop()
         prefix, suffix = split_below(items, o_cw(inner))
-        bpref = _mk([run] + prefix)
-        stepped = _mk([Item(False, bpref, n + 1)] + (suffix or []))
+        if prefix:
+            lead = Item(False, CW((run, *prefix)), n + 1)
+        else:
+            lead = Item(True, run.child, n + 1)
+        stepped = CW((lead, *(suffix or ())))
         run = Item(True, stepped, 1)
     return stepped, run

@@ -180,6 +180,8 @@ def descend(xi: Ordinal, budget: int, window: int = 64) -> Trace:
     """Iterate xi<n+1> = xi<n>[n+1] until zero or the budget runs out."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     head = [xi]
     tail: deque = deque(maxlen=min(window, budget))
     cur = xi
@@ -245,6 +247,8 @@ def G_witness(m: int, budget: int):
     """Least k with the primed worm reaching top after k+1 steps."""
     from ._compact import CompactRunner
 
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     runner = CompactRunner(BracketWorm((TOP_WORM,) + a_seq(m).entries))
     for _ in runner.descend(budget):
         pass

@@ -36,7 +36,6 @@ from bracketcalc._compact import (
     EMPTY,
     CompactRunner,
     Item,
-    _mk,
     _size,
     from_bracket,
     o_cw,
@@ -102,6 +101,23 @@ def test_order_type_folds_stay_within_their_run_over_counts(monkeypatch):
     assert calls <= 7_000
 
 
+def test_runner_builds_few_compact_worms(monkeypatch):
+    # counts CW constructions over a G2 descent: 43 980 when every new
+    # prefix and cold segment went through a run-merging pass, 31 186
+    # since compact worms are kept as built
+    built = 0
+    init = CW.__init__
+
+    def counted(self, items):
+        nonlocal built
+        built += 1
+        init(self, items)
+
+    monkeypatch.setattr(CW, "__init__", counted)
+    G_witness(2, 2 * 10**4)
+    assert built <= 33_000
+
+
 def _random_cw(rng, entries, depth: int) -> CW:
     # runs of corpus entries, about 15 % of them zero entries, and repeats
     # nested up to `depth` deep, every count at most 4
@@ -113,7 +129,9 @@ def _random_cw(rng, entries, depth: int) -> CW:
         else:
             entry = EMPTY if rng.random() < 0.15 else rng.choice(entries)
             items.append(Item(True, entry, count))
-    return _mk(items)
+    # kept as built, unmerged runs and one-item repeats included, as the
+    # engine's splits and steps leave them
+    return CW(tuple(items))
 
 
 def test_random_compact_worms_fold_to_their_plain_order_types():
@@ -169,6 +187,31 @@ def test_conversion_round_trip():
         assert to_bracket(from_bracket(w)) == w
 
 
+def test_from_bracket_merges_each_block_of_equal_entries_into_one_run():
+    # the one place runs are merged: one run per maximal block of equal
+    # adjacent entries, and equal entries share one child
+    plain = W("()()()(())(())()")
+    flat = from_bracket(plain)
+    assert [(it.is_run, it.count) for it in flat.items] == [
+        (True, 3), (True, 2), (True, 1)
+    ]
+    assert flat.items[0].child is flat.items[2].child
+    assert flat.items[1].child.items[0].child is flat.items[0].child
+    assert to_bracket(flat) == plain
+    # the entry (()) inside the first entry and after it is one child
+    nested = W("((())(())(()))(())")
+    cw = from_bracket(nested)
+    outer, last = cw.items
+    assert (outer.is_run, outer.count, last.is_run, last.count) == (True, 1, True, 1)
+    (inner,) = outer.child.items
+    assert (inner.is_run, inner.count) == (True, 3)
+    assert inner.child is last.child
+    assert [(it.is_run, it.child, it.count) for it in last.child.items] == [
+        (True, EMPTY, 1)
+    ]
+    assert to_bracket(cw) == nested
+
+
 def test_stepping_agrees_with_plain():
     rng = random.Random(5)
     sample = rng.sample(list(corpus(5)), 40)
@@ -210,20 +253,20 @@ def _g2_start():
 
 @pytest.fixture
 def item_lists(monkeypatch):
-    """The lengths of the item lists the engine normalizes or scans."""
+    """The lengths of the item lists the engine scans or boxes."""
     seen = []
-    mk, split = _compact._mk, _compact.split_below
-
-    def counted_mk(items):
-        seen.append(len(items))
-        return mk(items)
+    split, box = _compact.split_below, _compact._box
 
     def counted_split(items, threshold):
         seen.append(len(items))
         return split(items, threshold)
 
-    monkeypatch.setattr(_compact, "_mk", counted_mk)
+    def counted_box(items, spare=0):
+        seen.append(len(items))
+        return box(items, spare)
+
     monkeypatch.setattr(_compact, "split_below", counted_split)
+    monkeypatch.setattr(_compact, "_box", counted_box)
     return seen
 
 
@@ -292,7 +335,7 @@ def test_runner_from_a_long_plain_worm_keeps_pace_with_the_replay(item_lists):
     direct.steps = 9
     replay = CompactRunner(w)
     replay.run(9)
-    item_lists.clear()  # from_bracket normalizes the start list once
+    item_lists.clear()  # the runner boxes the start list once
     for checkpoint in range(38, 300, 29):
         direct.run(checkpoint)
         replay.run(checkpoint)
@@ -500,8 +543,8 @@ def test_budget_boundary_with_cuts(monkeypatch):
 
 def _live_items(runner) -> int:
     """Assert that every item reachable from the runner's state counts at
-    least one copy and that every repeated child has items, as _mk
-    assumes; return how many distinct items were seen."""
+    least one copy and that every repeated child has items, as the fold
+    and the splits assume; return how many distinct items were seen."""
     seen = {}  # id -> item, which keeps every id seen in use
     stack = list(runner.active) + [Item(False, seg, 1) for seg, _w in runner.cold]
     while stack:

@@ -284,6 +284,11 @@ def test_descend_examples():
     assert tr.terminated and tr.steps_used == 1
     obj = descend(OMEGA, 10).to_json_obj()
     assert obj["head"] == ["phi(0,1)", "3", "2", "1", "0"]
+    # negative budgets and windows are refused up front, as step_iter does
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        descend(ONE, -1)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        descend(ONE, 5, -1)
 
 
 def test_descend_window_beyond_the_budget_keeps_every_step():
@@ -422,6 +427,11 @@ def test_F_witness_small():
         F_witness(-2, 10)
     with pytest.raises(ValueError):
         G_witness(-1, 10)
+    # a negative budget is refused, not read as an exhausted one
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        F_witness(2, -1)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        G_witness(2, -1)
 
 
 def test_F_witness_two():
