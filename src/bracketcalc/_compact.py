@@ -35,10 +35,11 @@ first k - 1 one step on: the head is the same, and so is the first entry
 below it when that lies within k, else both prefixes cover those k
 entries.  After s of B steps, then, only the first B - s + 1 entries can
 still become a head or decide termination.  CompactRunner.descend is the
-one place this horizon lives: every _FANOUT steps it cuts the state to
-that front (CompactRunner.cut), while run(), step() and length stay
-exact.  A cut state is exact only in its first keep - t entries t steps
-later: past them it holds wrongly copied entries, not just missing ones.
+one place this horizon lives: each time the step count passes a multiple
+of _FANOUT it cuts the state to that front (CompactRunner.cut), while
+run(), step() and length stay exact.  A cut state is exact only in its
+first keep - t entries t steps later: past them it holds wrongly copied
+entries, not just missing ones.
 So a caller that needs more of the worm exact up to the last step asks
 descend for them: G_witness asks for none, and step_iter for
 _DENSE_LIMIT, since its tail worms must be told apart from longer ones.
@@ -402,6 +403,12 @@ def o_cw(cw: CW) -> Ordinal:
 # Only when together they reach _FANOUT items are they put into boxes, and
 # the known part's boxes go into the new boxes whole, so a prefix reuses
 # the boxes of the last one instead of opening them.
+#
+# Deleting a top entry depends on neither n nor what follows it.  So when
+# the head is a top entry and the active zone starts with a run of them,
+# one advance deletes that run too, up to the step limit the caller
+# passes: run() and descend() pass the steps left, so step counts and
+# termination stay exact and a long run costs one advance.
 
 _FANOUT = 16
 
@@ -421,12 +428,13 @@ def _box(items, spare: int = 0) -> tuple:
     return tuple(items)
 
 
-def snapshot_cw(active: tuple, cold) -> CW:
-    """The compact worm of a runner state: its active items and its cold
-    (segment, weight) pairs, nearest last."""
+def snapshot_cw(active: tuple, cold, tops: int = 0) -> CW:
+    """The compact worm of a runner state: `tops` top entries, its active
+    items and its cold (segment, weight) pairs, nearest last."""
     # active items are live and cold segments nonempty, which is all a
     # compact worm needs
-    return CW(active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
+    lead = (Item(True, EMPTY, tops),) if tops else ()
+    return CW(lead + active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
 
 
 def _front(items, keep: int):
@@ -547,14 +555,26 @@ class CompactRunner:
                 del active[1:]
             active[:1] = opened
 
-    def step(self) -> None:
+    def step(self, limit: int = 1) -> int:
+        """Advance by at most `limit` >= 1 steps and return how many: one
+        step, or the deletion of a top entry and of up to limit - 1 more
+        from a run of them that leads the active zone."""
         self.steps += 1
         n = self.steps
         h, known = self._take_head()
+        if not h.items and limit > 1 and self.active:
+            first = self.active[0]
+            if first.is_run and not first.child.items:
+                more = min(first.count, limit - 1)
+                if more < first.count:
+                    self.active[0] = Item(True, first.child, first.count - more)
+                else:
+                    del self.active[0]
+                self.steps += more
         while not self.active and self.cold:
             self.active = list(self.cold.pop()[0].items)
         if not h.items:
-            return
+            return self.steps - n + 1
         stepped, head = _entry_step(h, n)
         threshold = o_cw(h)
         # scan for the first entry strictly below the head: the rest of the
@@ -581,6 +601,7 @@ class CompactRunner:
                 self.active.extend(suffix)
             else:
                 self._push_cold(suffix)
+        return 1
 
     def cut(self, keep: int) -> None:
         """Truncate the state to its first `keep` entries: the active items,
@@ -596,19 +617,22 @@ class CompactRunner:
         del cold[:i]
 
     def run(self, budget: int) -> bool:
-        """Advance until top or until `budget` total steps; True if done."""
+        """Advance until top or until `budget` total steps, a run of top
+        entries in one advance; True if done."""
         while not self.finished and self.steps < budget:
-            self.step()
+            self.step(budget - self.steps)
         return self.finished
 
     def descend(self, budget: int, exact: int = 0):
-        """Advance until top or until `budget` total steps, yielding after
-        each step; every _FANOUT steps, cut the state to the entries the
-        steps left can reach, plus `exact` more (the budget horizon)."""
-        while not self.finished and self.steps < budget:
-            self.step()
-            yield
-            if self.steps % _FANOUT == 0:
+        """Advance as run() does, yielding each advance's step count; each
+        time the step count passes a multiple of _FANOUT, cut the state to
+        the entries the steps left can reach, plus `exact` more (the budget
+        horizon)."""
+        # self.finished inlined: its call would cost more than the limit
+        while (self.active or self.cold) and self.steps < budget:
+            k = self.step(budget - self.steps)
+            yield k
+            if self.steps % _FANOUT < k:
                 self.cut(budget - self.steps + 1 + exact)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .ordinals import (
     ONE,
@@ -94,10 +95,13 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
     later step runs on the run-length compressed engine, so budgets in the
     millions stay feasible while the worms grow astronomically long, and
     the engine keeps only the front of the worm that the tail window can
-    still see (the budget horizon, see _compact).  Its last `window`
-    states are kept as snapshots, two tuples each that share the engine's
-    items; at the end the tail is materialized newest first, and a
-    snapshot becomes a compact worm only when that walk reaches it.
+    still see (the budget horizon, see _compact).  Each of its last
+    `window` advances is recorded as the state it ends in and its step
+    count, sharing the engine's items: the state i steps before the end is
+    the recorded one with i top entries in front.  The tail is
+    materialized newest first, a state becoming a compact worm only when
+    that walk reaches it; the walk stops at the first worm above
+    _DENSE_LIMIT entries, so older records are dropped as the run goes.
     """
     if budget < 0 or window < 0:
         raise ValueError("budget and window must be >= 0")
@@ -114,25 +118,37 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
         head.append(cur)
     tail = []
     if not terminated and steps < budget:
-        from ._compact import CompactRunner, snapshot_cw, to_bracket
+        from ._compact import _FANOUT, CompactRunner, _size, snapshot_cw, to_bracket
 
         # the runner replays the head from the start worm: its state then
         # stays run-length compressed, where from_bracket(cur) is one flat
         # item list that later steps copy and rescan
         runner = CompactRunner(a)
         runner.run(steps)
-        # a snapshot is the runner's state as two tuples, which share every
-        # item and segment with it; only the tail walk builds compact worms
-        recent: deque = deque(maxlen=min(window, budget))
+        # a record is the runner's state as two tuples, which share every
+        # item and segment with it, and the advance's step count; only the
+        # tail walk builds compact worms
+        keep = min(window, budget)
+        recent: deque = deque(maxlen=keep)
         # a tail worm is decided by its first _DENSE_LIMIT + 1 entries,
         # which must stay exact up to the last step
-        for _ in runner.descend(budget, _DENSE_LIMIT):
-            recent.append((tuple(runner.active), tuple(runner.cold)))
+        for k in runner.descend(budget, _DENSE_LIMIT):
+            if len(recent) > _DENSE_LIMIT and runner.steps % _FANOUT < k:
+                # the tail walk stops at a state above _DENSE_LIMIT entries;
+                # windows narrower than that skip the check
+                if _size(runner.as_cw(), _DENSE_LIMIT) > _DENSE_LIMIT:
+                    recent.clear()
+            recent.append((tuple(runner.active), tuple(runner.cold), k))
         terminated = runner.finished
         steps = runner.steps
         # the tail is the contiguous run of small worms that ends the trace
-        for snap in reversed(recent):
-            worm = to_bracket(snapshot_cw(*snap), limit=_DENSE_LIMIT)
+        states = (
+            snapshot_cw(active, cold, tops)
+            for active, cold, k in reversed(recent)
+            for tops in range(k)
+        )
+        for cw in islice(states, keep):
+            worm = to_bracket(cw, limit=_DENSE_LIMIT)
             if worm is None:
                 break
             tail.append(worm)

@@ -152,6 +152,28 @@ def test_runner_compares_few_ordinals(monkeypatch):
     assert calls <= 310_000
 
 
+def test_runner_deletes_a_run_of_top_entries_in_one_advance(monkeypatch):
+    # counts runner advances: 1 000 000 over this trace while every deleted
+    # top entry took a step of its own, 58 since a run of them at the front
+    # of the active zone goes in one advance
+    calls = 0
+    step = CompactRunner.step
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(CompactRunner, "step", counted)
+    tr = step_iter(W("(()())(())"), 10**6, 8)
+    assert tr.steps_used == 10**6
+    assert calls <= 200
+    # a G2 descent never has two top entries in a row: 20 000 advances
+    calls = 0
+    G_witness(2, 2 * 10**4)
+    assert calls == 2 * 10**4
+
+
 def _random_cw(rng, entries, depth: int) -> CW:
     # runs of corpus entries, about 15 % of them zero entries, and repeats
     # nested up to `depth` deep, every count at most 4
@@ -275,19 +297,47 @@ def test_stepping_agrees_with_plain():
     assert checked > 200
 
 
+def _top_run_budgets(w, budget: int) -> list:
+    """The budgets up to `budget` that stop a descent from w inside a run
+    of top entries: both the last step and the next delete a top entry,
+    the only steps that shorten a worm by one entry."""
+    runner = CompactRunner(w)
+    lengths = [runner.length]
+    while not runner.finished and runner.steps <= budget:
+        runner.step()
+        lengths.append(runner.length)
+    return [
+        b
+        for b in range(1, len(lengths) - 1)
+        if lengths[b - 1] - 1 == lengths[b] == lengths[b + 1] + 1
+    ]
+
+
 def test_batched_run_agrees_with_single_steps():
-    for text in ("(())", "((()))", "(()())", "()(())", "(()(()))"):
-        w = W(text)
-        for budget in (1, 2, 3, 5, 8, 13, 21, 34):
-            r1 = CompactRunner(w)
-            r1.run(budget)
-            r2 = CompactRunner(w)
-            while not r2.finished and r2.steps < budget:
-                r2.step()
-            assert (r1.steps, r1.finished) == (r2.steps, r2.finished)
-            a = to_bracket(r1.as_cw(), limit=10**6)
-            b = to_bracket(r2.as_cw(), limit=10**6)
-            assert a == b
+    # run(b) deletes a leading run of top entries in one advance, cut at
+    # the budget; it must stop where as many single steps do, also at the
+    # budgets that end inside such a run
+    starts = [(w, 150) for w in corpus(4)]
+    starts += [(W("(()())(())"), 320), (W("()()(()())"), 220)]
+    checked = inside = 0
+    for w, budget in starts:
+        single = CompactRunner(w)
+        tops = _top_run_budgets(w, budget)
+        for b in sorted({1, 2, 3, 5, 8, 13, 21, 34, *tops}):
+            while not single.finished and single.steps < b:
+                single.step()
+            batched = CompactRunner(w)
+            batched.run(b)
+            got, want = ((r.steps, r.finished, r.length) for r in (batched, single))
+            assert got == want, (print_worm(w), b)
+            # the whole worm, or the front of one too long to materialize
+            a = to_bracket(batched.as_cw(), limit=10**6)
+            assert a == to_bracket(single.as_cw(), limit=10**6), (print_worm(w), b)
+            if a is None:
+                assert _front_worms(batched, 3000) == _front_worms(single, 3000)
+            checked += 1
+        inside += len(tops)
+    assert checked > 900 and inside == 761
 
 
 def _g2_start():
@@ -661,15 +711,10 @@ def test_budgeted_descents_run_in_bounded_memory():
         assert int(peak) < 1 << 20, (job, peak)
 
 
-def test_million_step_witness_peak_rss():
-    # the budget horizon keeps the whole process small at 10**6 steps;
-    # without it the peak was 282 MB.  A process's ru_maxrss starts at the
-    # peak of the process it was forked from, so a small launcher runs the
-    # descent and reads the peak of its one child
-    run = (
-        "from bracketcalc import BudgetExhausted, G_witness; "
-        "assert G_witness(2, 10**6) == BudgetExhausted(10**6)"
-    )
+def _child_peak_rss_mb(run: str) -> float:
+    """The peak RSS of a process running `run`.  A process's ru_maxrss
+    starts at the peak of the process it was forked from, so a small
+    launcher runs the code and reads the peak of its one child."""
     code = """if True:
         import resource, subprocess, sys
 
@@ -685,7 +730,29 @@ def test_million_step_witness_peak_rss():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 40
+    return float(proc.stdout)
+
+
+def test_million_step_witness_peak_rss():
+    # the budget horizon keeps the whole process small at 10**6 steps;
+    # without it the peak was 282 MB
+    run = (
+        "from bracketcalc import BudgetExhausted, G_witness; "
+        "assert G_witness(2, 10**6) == BudgetExhausted(10**6)"
+    )
+    assert _child_peak_rss_mb(run) <= 40
+
+
+def test_wide_step_window_peak_rss():
+    # the tail walk stops at the first worm above the dense limit, so a
+    # wide window keeps no records older than such a state; keeping one
+    # per step for this window peaked at 158.5 MB, and now 19.6 MB
+    run = (
+        "from bracketcalc import parse_worm, step_iter; "
+        "tr = step_iter(parse_worm('(()()()())'), 300000, 300000); "
+        "assert (tr.steps_used, len(tr.head), tr.tail) == (300000, 14, ())"
+    )
+    assert _child_peak_rss_mb(run) <= 30
 
 
 # --- split_below against the recursive version it replaced ----------------------

@@ -151,6 +151,51 @@ def test_step_iter_windows_match_plain_oracle():
     assert checked >= 500
 
 
+def test_step_iter_tails_span_batched_advances(monkeypatch):
+    # the engine deletes a leading run of top entries in one advance, and a
+    # tail state inside it is the advance's end state with top entries in
+    # front.  These descents are mostly such runs and stay small; budgets
+    # just past the start of a run (a step that shortens the worm by one
+    # entry deletes a top entry) make the windows reach into two advances
+    advances = []
+    step = CompactRunner.step
+
+    def recorded(self, *args):
+        k = step(self, *args)
+        advances.append(k)
+        return k
+
+    monkeypatch.setattr(CompactRunner, "step", recorded)
+    spans = 0
+    for text, top in (("(()())(())", 600), ("()()(()())", 450)):
+        worms = plain_trace(W(text), top, DENSE_LIMIT)
+        assert len(worms) == top + 1
+        lengths = [len(w.entries) for w in worms]
+        drops = {i for i in range(1, top + 1) if lengths[i] == lengths[i - 1] - 1}
+        starts = [i for i in drops if i - 1 not in drops]
+        for budget in sorted({min(s + j, top) for s in starts for j in range(10)}):
+            for window in (1, 3, 8):
+                advances.clear()
+                tr = step_iter(W(text), budget, window)
+                assert tr.steps_used == budget and not tr.terminated
+                # the head holds the first window + 1 worms, which the
+                # tail does not repeat
+                want = (
+                    tuple(worms[:min(window, budget) + 1]),
+                    tuple(worms[max(window + 1, budget - window + 1):budget + 1]),
+                )
+                assert (tr.head, tr.tail) == want, (text, budget, window)
+                # the advances the tail window reaches, newest first
+                seen, reached = 0, []
+                for k in reversed(advances):
+                    if seen >= window:
+                        break
+                    seen += k
+                    reached.append(k)
+                spans += len(reached) > 1 and max(reached) > 1
+    assert spans >= 100, spans
+
+
 def uncut_step_iter(a, budget: int, window: int) -> Trace:
     """step_iter with an engine that keeps the whole worm to the end."""
     head, cur, steps = [a], a, 0
