@@ -20,8 +20,9 @@ invariants rather than by a tuned size: every box it builds holds at most
 _FANOUT items with its least entry order type recorded, and a step whose
 head is a least entry of the leading box takes the rest of that box into
 the new prefix without scanning it (see the stepping notes below).  So the
-step rate stays flat, about three hundred thousand per second on a 2-core
-VM (G_witness(2, 10**6) takes 3.0-3.6 s of CPU time), as long as entry
+step rate stays flat, over four hundred thousand per second on a 2-core
+VM (G_witness(2, 10**6) takes 2.2-2.5 s of CPU time, a third of its steps
+deleting a top entry in the advance that made it), as long as entry
 order types remain short sums (runs of top entries, principal values).
 Deeply nested starting worms grow entries whose order types are sums with
 one summand per elapsed step, and stepping slows to the cost of that
@@ -66,19 +67,10 @@ from .ordinals import (
 from .syntax import BracketWorm
 
 
-class Item:
-    __slots__ = ("is_run", "child", "count")
-
-    def __init__(self, is_run: bool, child: "CW", count: int):
-        # is_run: `count` copies of the single entry with content `child`
-        # else:   `count` copies of the subsequence `child`, spliced in
-        self.is_run = is_run
-        self.child = child
-        self.count = count
-
-
 class CW:
-    """A compact worm: a tuple of items."""
+    """A compact worm: a tuple of items (is_run, child, count), each `count`
+    copies of the entry with content `child` when is_run, else copies of
+    the subsequence `child`, spliced in."""
 
     __slots__ = ("items", "_length", "_min_o", "_o", "_top")
 
@@ -93,8 +85,8 @@ class CW:
         # minimum entry order type; only called on nonempty worms
         if self._min_o is None:
             best = None
-            for it in self.items:
-                v = o_cw(it.child) if it.is_run else it.child.min_o()
+            for is_run, child, _count in self.items:
+                v = o_cw(child) if is_run else child.min_o()
                 if best is None or cmp(v, best) < 0:
                     best = v
             self._min_o = best
@@ -125,7 +117,7 @@ def from_bracket(w: BracketWorm) -> CW:
             continue
         stack.pop()
         items = tuple(
-            Item(True, built[e], len(list(g))) for e, g in groupby(cur.entries)
+            (True, built[e], len(list(g))) for e, g in groupby(cur.entries)
         )
         built[cur] = CW(items) if items else EMPTY
     return built[w]
@@ -144,16 +136,17 @@ def _size(cw: CW, cap: int | None = None) -> int:
         c = stack[-1]
         if c._length is None:
             pending = []
-            for it in c.items:
-                if cap is not None and it.count > cap:
+            for is_run, child, count in c.items:
+                if cap is not None and count > cap:
                     return cap + 1
-                if not it.is_run and it.child._length is None:
-                    pending.append(it.child)
+                if not is_run and child._length is None:
+                    pending.append(child)
             if pending:
                 stack.extend(pending)
                 continue
             c._length = sum(
-                it.count * (1 if it.is_run else it.child._length) for it in c.items
+                count * (1 if is_run else child._length)
+                for is_run, child, count in c.items
             )
         if cap is not None and c._length > cap:
             return cap + 1
@@ -174,15 +167,15 @@ def to_bracket(cw: CW, limit: int = 1 << 20):
         if id(c) in built:
             stack.pop()
             continue
-        pending = [it.child for it in c.items if id(it.child) not in built]
+        pending = [child for _r, child, _k in c.items if id(child) not in built]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
         entries: list = []
-        for it in c.items:
-            got = built[id(it.child)]
-            entries.extend([got] * it.count if it.is_run else got.entries * it.count)
+        for is_run, child, count in c.items:
+            got = built[id(child)]
+            entries.extend([got] * count if is_run else got.entries * count)
         built[id(c)] = BracketWorm(tuple(entries))
     return built[id(cw)]
 
@@ -193,18 +186,18 @@ def to_bracket(cw: CW, limit: int = 1 << 20):
 def take_head(items: list) -> CW:
     """Remove the leading entry of a nonempty item list in place and return
     its content, unrolling one copy of each leading repeated subsequence."""
-    it = items[0]
-    while not it.is_run:
-        repl = list(it.child.items)
-        if it.count > 1:
-            repl.append(Item(False, it.child, it.count - 1))
+    is_run, child, count = items[0]
+    while not is_run:
+        repl = list(child.items)
+        if count > 1:
+            repl.append((False, child, count - 1))
         items[0:1] = repl
-        it = items[0]
-    if it.count > 1:
-        items[0] = Item(True, it.child, it.count - 1)
+        is_run, child, count = items[0]
+    if count > 1:
+        items[0] = (True, child, count - 1)
     else:
         del items[0]
-    return it.child
+    return child
 
 
 def split_below(items, threshold: Ordinal):
@@ -220,9 +213,8 @@ def split_below(items, threshold: Ordinal):
     prefix: list = []
     outer: list = []  # per opened level: the items following it there
     while True:
-        for i, it in enumerate(items):
-            child = it.child
-            if it.is_run:
+        for i, (is_run, child, count) in enumerate(items):
+            if is_run:
                 low = child._o
                 if low is None:
                     low = o_cw(child)
@@ -230,19 +222,19 @@ def split_below(items, threshold: Ordinal):
                 low = child._min_o
                 if low is None:
                     low = child.min_o()
-            if cmp(low, threshold) >= 0:
+            # ordinals are interned, so `is` settles most items of a scan
+            if low is threshold or cmp(low, threshold) >= 0:
                 continue
             prefix.extend(items[:i])
-            if it.is_run or (
-                child.items[0].is_run
-                and cmp(o_cw(child.items[0].child), threshold) < 0
-            ):
+            if not is_run:
+                lead_run, lead, _k = child.items[0]
+            if is_run or lead_run and (lead._o is low or cmp(o_cw(lead), threshold) < 0):
                 # the very first entry is the split point
                 suffix = list(items[i:])
                 for rest in reversed(outer):
                     suffix.extend(rest)
                 return prefix, suffix
-            rest = [Item(False, child, it.count - 1)] if it.count > 1 else []
+            rest = [(False, child, count - 1)] if count > 1 else []
             rest.extend(items[i + 1:])
             outer.append(rest)
             items = child.items
@@ -291,17 +283,17 @@ def _split_last_zero(seq: CW, mu: Ordinal):
     up to that entry, the items after it); seq must hold one."""
     items = seq.items
     for i in range(len(items) - 1, -1, -1):
-        it = items[i]
-        low = o_cw(it.child) if it.is_run else it.child.min_o()
+        is_run, child, count = items[i]
+        low = o_cw(child) if is_run else child.min_o()
         if cmp(low, mu) > 0:
             continue
-        if it.is_run:
+        if is_run:
             # the last copy of this run is the split point
             return list(items[:i + 1]), list(items[i + 1:])
-        ih, ib = _split_last_zero(it.child, mu)
+        ih, ib = _split_last_zero(child, mu)
         h = list(items[:i])
-        if it.count > 1:
-            h.append(Item(False, it.child, it.count - 1))
+        if count > 1:
+            h.append((False, child, count - 1))
         return h + ih, ib + list(items[i + 1:])
 
 
@@ -313,8 +305,9 @@ def _fold_items(items, val: Ordinal, mu: Ordinal = ZERO) -> Ordinal:
     return val
 
 
-def _fold_item(it: Item, val: Ordinal, mu: Ordinal) -> Ordinal:
-    low = o_cw(it.child) if it.is_run else it.child.min_o()
+def _fold_item(it: tuple, val: Ordinal, mu: Ordinal) -> Ordinal:
+    is_run, child, count = it
+    low = o_cw(child) if is_run else child.min_o()
     # shift down until the item holds an entry of type mu: the value is
     # p + e^nu(...) for each (p, nu) here, innermost last
     outer: list = []
@@ -335,10 +328,10 @@ def _fold_item(it: Item, val: Ordinal, mu: Ordinal) -> Ordinal:
                 nu = m
             outer.append((ZERO, nu))
             val, mu = _logdown(val, nu), add(mu, nu)
-    if it.is_run:
-        val = add(val, nat(it.count))
+    if is_run:
+        val = add(val, nat(count))
     else:
-        val = _seq_over(it.child, it.count, val, mu)
+        val = _seq_over(child, count, val, mu)
     for p, nu in reversed(outer):
         val = add(p, hyper_exp(nu, val))
     return val
@@ -379,8 +372,8 @@ def o_cw(cw: CW) -> Ordinal:
 # items (the active zone, where the head is taken) plus a stack of cold
 # tail segments, merged pairwise into binary boxes as they accumulate, so
 # the stack stays logarithmic in the number of steps.  Only what overflows
-# the active zone goes cold: a step keeps a suffix of fewer than _FANOUT
-# items behind its new prefix, and opening a leading box keeps what
+# the active zone goes cold: a step keeps its suffix behind the new prefix
+# while the two fit in _FANOUT items, and opening a leading box keeps what
 # follows it while the two fit in one box.  So the active zone holds at
 # most _FANOUT + 1 items, and a suffix is not pushed only to be popped
 # back by the next step.  A step's prefix scan is split_below over the
@@ -390,7 +383,9 @@ def o_cw(cw: CW) -> Ordinal:
 # 1. Every box the runner builds holds at most _FANOUT items and has its
 #    _min_o set when it is built: the prefix of a step, each suffix pushed
 #    to the cold stack, and a long start list.  So split_below decides an
-#    item with one cmp, opens at most _FANOUT items per level, and never
+#    item with one cmp, or none when its least entry type is the threshold
+#    itself or, below it, is that of the box's leading run (ordinals are
+#    interned, so `is`), opens at most _FANOUT items per level, and never
 #    calls min_o() recursively.  In every split, _entry_step's too, a
 #    repeated subsequence that starts with the split point goes to the
 #    suffix whole, not unrolled: it shares its child, whose _o and _min_o
@@ -404,11 +399,22 @@ def o_cw(cw: CW) -> Ordinal:
 # the known part's boxes go into the new boxes whole, so a prefix reuses
 # the boxes of the last one instead of opening them.
 #
-# Deleting a top entry depends on neither n nor what follows it.  So when
-# the head is a top entry and the active zone starts with a run of them,
-# one advance deletes that run too, up to the step limit the caller
-# passes: run() and descend() pass the steps left, so step counts and
-# termination stay exact and a long run costs one advance.
+# Deleting a top entry depends on neither n nor what follows it.  So one
+# advance deletes top entries beyond its first step, up to the step limit
+# the caller passes: a step whose stepped head is a top entry deletes it
+# at once, so the new prefix has one copy opened in front of n copies (G2
+# steps its heads (()()), (()), top, and deletes that top one step in
+# three); a step to a run of n + 1 top entries deletes them too; and a
+# top entry taken as the head takes the rest of a run of them that leads
+# the active zone.  run() and descend() pass the steps left, so step
+# counts and termination stay exact.  The state i steps before the end
+# of a k-step advance is its end state with i top entries in front.  A
+# deletion may empty the active zone; the next step refills it from the
+# cold stack.
+#
+# Items are plain tuples (is_run, child, count), read by unpacking: a step
+# builds one or two, and a class or a namedtuple costs several times a
+# tuple to construct.
 
 _FANOUT = 16
 
@@ -423,7 +429,7 @@ def _box(items, spare: int = 0) -> tuple:
         for i in range(0, len(items), size):
             box = CW(tuple(items[i:i + size]))
             box.min_o()
-            boxes.append(Item(False, box, 1))
+            boxes.append((False, box, 1))
         items = boxes
     return tuple(items)
 
@@ -433,8 +439,8 @@ def snapshot_cw(active: tuple, cold, tops: int = 0) -> CW:
     items and its cold (segment, weight) pairs, nearest last."""
     # active items are live and cold segments nonempty, which is all a
     # compact worm needs
-    lead = (Item(True, EMPTY, tops),) if tops else ()
-    return CW(lead + active + tuple(Item(False, seg, 1) for seg, _w in reversed(cold)))
+    lead = ((True, EMPTY, tops),) if tops else ()
+    return CW(lead + active + tuple((False, seg, 1) for seg, _w in reversed(cold)))
 
 
 def _front(items, keep: int):
@@ -451,31 +457,32 @@ def _front(items, keep: int):
     while True:
         kept: list = []
         for it in items:
+            is_run, child, count = it
             # keep + 1 when not one copy fits
-            size = 1 if it.is_run else _size(it.child, keep)
-            if it.count * size <= keep:
+            size = 1 if is_run else _size(child, keep)
+            if count * size <= keep:
                 kept.append(it)
-                keep -= it.count * size
+                keep -= count * size
                 continue
             whole = keep // size
             if whole:
-                kept.append(Item(it.is_run, it.child, whole))
+                kept.append((is_run, child, whole))
                 keep -= whole * size
             break
         else:
             # an opened copy always holds more than what is left to keep
             assert not levels
             return items, keep
-        if it.is_run or not keep:
+        if is_run or not keep:
             break
         levels.append((kept, keep))
-        items = it.child.items
+        items = child.items
     while levels:
         outer, size = levels.pop()
         box = CW(tuple(kept))
         box._length = size
         box.min_o()
-        kept = outer + [Item(False, box, 1)]
+        kept = outer + [(False, box, 1)]
     return kept, 0
 
 
@@ -510,7 +517,7 @@ class CompactRunner:
         weight = 1
         while self.cold and self.cold[-1][1] <= weight:
             other, w = self.cold.pop()
-            seg = CW((Item(False, seg, 1), Item(False, other, 1)))
+            seg = CW(((False, seg, 1), (False, other, 1)))
             seg.min_o()
             weight += w
         self.cold.append((seg, weight))
@@ -522,86 +529,93 @@ class CompactRunner:
         join the next prefix unscanned (invariant 2)."""
         active = self.active
         while True:
-            first = active[0]
-            if first.is_run:
-                if first.count > 1:
-                    active[0] = Item(True, first.child, first.count - 1)
+            is_run, child, count = active[0]
+            if is_run:
+                if count > 1:
+                    active[0] = (True, child, count - 1)
                 else:
                     del active[0]
-                return first.child, ()
-            box = first.child
-            lead = box.items[0]
-            if (
-                lead.is_run
-                and lead.child.items
-                and box._min_o is o_cw(lead.child)
-            ):
+                return child, ()
+            lead_run, lead, lead_count = child.items[0]
+            if lead_run and lead.items and child._min_o is o_cw(lead):
                 # nothing in the rest of the box or in its other copies is
                 # below the head (ordinals are interned, so `is`)
-                known = box.items[1:]
-                if lead.count > 1:
-                    known = (Item(True, lead.child, lead.count - 1),) + known
-                if first.count > 1:
-                    known += (Item(False, box, first.count - 1),)
+                known = child.items[1:]
+                if lead_count > 1:
+                    known = ((True, lead, lead_count - 1),) + known
+                if count > 1:
+                    known += ((False, child, count - 1),)
                 del active[0]
-                return lead.child, known
+                return lead, known
             # open the box; what follows it stays in the active zone while
             # the two fit in one box, else it waits on the cold stack
-            opened = list(box.items)
-            if first.count > 1:
-                opened.append(Item(False, box, first.count - 1))
+            opened = list(child.items)
+            if count > 1:
+                opened.append((False, child, count - 1))
             if len(active) > 1 and len(opened) + len(active) > _FANOUT + 1:
                 self._push_cold(active[1:])
                 del active[1:]
             active[:1] = opened
 
     def step(self, limit: int = 1) -> int:
-        """Advance by at most `limit` >= 1 steps and return how many: one
-        step, or the deletion of a top entry and of up to limit - 1 more
-        from a run of them that leads the active zone."""
+        """Advance by at most `limit` >= 1 steps and return how many.
+
+        One step, and with limit > 1 the top entries it leaves in front:
+        a stepped head that is a top entry is deleted in the same advance,
+        and a run of top entries that the step deleted the first of, or
+        stepped the head to, loses up to limit - 1 more.
+        """
         self.steps += 1
         n = self.steps
+        while not self.active:
+            self.active = list(self.cold.pop()[0].items)
         h, known = self._take_head()
-        if not h.items and limit > 1 and self.active:
-            first = self.active[0]
-            if first.is_run and not first.child.items:
-                more = min(first.count, limit - 1)
-                if more < first.count:
-                    self.active[0] = Item(True, first.child, first.count - more)
+        tops = not h.items  # the active zone may lead with a top run
+        if not tops:
+            stepped, head = _entry_step(h, n)
+            threshold = o_cw(h)
+            # scan for the first entry strictly below the head: the rest of
+            # the active zone, then whole cold segments
+            scanned: list = []
+            items = self.active
+            while True:
+                pre, suffix = split_below(items, threshold)
+                scanned.extend(pre)
+                if suffix is not None or not self.cold:
+                    break
+                items = [(False, self.cold.pop()[0], 1)]
+            rest = _box(known + tuple(scanned), 1)
+            if not rest:
+                active = [(True, stepped, n + 1)]
+                tops = not stepped.items
+            else:
+                # everything after the stepped head is at least the old head
+                bpref = CW((head,) + rest)
+                bpref._min_o = o_cw(stepped)
+                if limit > 1 and not stepped.items:
+                    # step n + 1 deletes the stepped top entry; rest, which
+                    # holds no top entry, then leads
+                    active = [*rest, (False, bpref, n)]
+                    self.steps += 1
+                else:
+                    active = [(False, bpref, n + 1)]
+            if suffix:
+                # the suffix follows the new prefix; only overflow goes cold
+                if len(active) + len(suffix) <= _FANOUT:
+                    active.extend(suffix)
+                else:
+                    self._push_cold(suffix)
+            self.active = active
+        if tops and limit > 1 and self.active:
+            is_run, child, count = self.active[0]
+            if is_run and not child.items:
+                more = min(count, limit - 1)
+                if more < count:
+                    self.active[0] = (True, child, count - more)
                 else:
                     del self.active[0]
                 self.steps += more
-        while not self.active and self.cold:
-            self.active = list(self.cold.pop()[0].items)
-        if not h.items:
-            return self.steps - n + 1
-        stepped, head = _entry_step(h, n)
-        threshold = o_cw(h)
-        # scan for the first entry strictly below the head: the rest of the
-        # active zone, then whole cold segments
-        scanned: list = []
-        items = self.active
-        while True:
-            pre, suffix = split_below(items, threshold)
-            scanned.extend(pre)
-            if suffix is not None or not self.cold:
-                break
-            items = [Item(False, self.cold.pop()[0], 1)]
-        rest = _box(known + tuple(scanned), 1)
-        if rest:
-            # everything after the stepped head is at least the old head
-            bpref = CW((head,) + rest)
-            bpref._min_o = o_cw(stepped)
-            self.active = [Item(False, bpref, n + 1)]
-        else:
-            self.active = [Item(True, stepped, n + 1)]
-        if suffix:
-            # the suffix follows the new prefix; only a long one goes cold
-            if len(suffix) < _FANOUT:
-                self.active.extend(suffix)
-            else:
-                self._push_cold(suffix)
-        return 1
+        return self.steps - n + 1
 
     def cut(self, keep: int) -> None:
         """Truncate the state to its first `keep` entries: the active items,
@@ -612,22 +626,23 @@ class CompactRunner:
         while keep and i:
             i -= 1
             seg, weight = cold[i]
-            (item,), keep = _front((Item(False, seg, 1),), keep)
-            cold[i] = (item.child, weight)
+            ((_r, seg, _k),), keep = _front(((False, seg, 1),), keep)
+            cold[i] = (seg, weight)
         del cold[:i]
 
     def run(self, budget: int) -> bool:
-        """Advance until top or until `budget` total steps, a run of top
-        entries in one advance; True if done."""
+        """Advance until top or until `budget` total steps, with the top
+        entries an advance deletes cut at the budget; True if done."""
         while not self.finished and self.steps < budget:
             self.step(budget - self.steps)
         return self.finished
 
     def descend(self, budget: int, exact: int = 0):
-        """Advance as run() does, yielding each advance's step count; each
-        time the step count passes a multiple of _FANOUT, cut the state to
-        the entries the steps left can reach, plus `exact` more (the budget
-        horizon)."""
+        """Advance as run() does, yielding each advance's step count, which
+        counts the top entries it deleted after its first step (a stepped
+        top entry, a run of them); each time the step count passes a
+        multiple of _FANOUT, cut the state to the entries the steps left can
+        reach, plus `exact` more (the budget horizon)."""
         # self.finished inlined: its call would cost more than the limit
         while (self.active or self.cold) and self.steps < budget:
             k = self.step(budget - self.steps)
@@ -655,7 +670,7 @@ def _entry_step(h: CW, n: int) -> tuple:
         inner = take_head(items)
         if not inner.items:
             stepped = CW(tuple(items)) if items else EMPTY
-            run = Item(True, stepped, 1)
+            run = (True, stepped, 1)
             cur._top = stepped, run
             break
         chain.append((items, inner))
@@ -664,9 +679,9 @@ def _entry_step(h: CW, n: int) -> tuple:
         items, inner = chain.pop()
         prefix, suffix = split_below(items, o_cw(inner))
         if prefix:
-            lead = Item(False, CW((run, *prefix)), n + 1)
+            lead = (False, CW((run, *prefix)), n + 1)
         else:
-            lead = Item(True, run.child, n + 1)
+            lead = (True, stepped, n + 1)
         stepped = CW((lead, *(suffix or ())))
-        run = Item(True, stepped, 1)
+        run = (True, stepped, 1)
     return stepped, run

@@ -152,11 +152,13 @@ def test_step_iter_windows_match_plain_oracle():
 
 
 def test_step_iter_tails_span_batched_advances(monkeypatch):
-    # the engine deletes a leading run of top entries in one advance, and a
-    # tail state inside it is the advance's end state with top entries in
-    # front.  These descents are mostly such runs and stay small; budgets
-    # just past the start of a run (a step that shortens the worm by one
-    # entry deletes a top entry) make the windows reach into two advances
+    # the engine deletes a leading run of top entries, or a top entry that
+    # a step made, in one advance, and a tail state inside it is the
+    # advance's end state with top entries in front.  The first two
+    # descents are mostly such runs and stay small, the third makes top
+    # entries and stays small for 12 steps; budgets just past the start of
+    # a run (a step that shortens the worm by one entry deletes a top
+    # entry) make the windows reach into two advances
     advances = []
     step = CompactRunner.step
 
@@ -167,7 +169,7 @@ def test_step_iter_tails_span_batched_advances(monkeypatch):
 
     monkeypatch.setattr(CompactRunner, "step", recorded)
     spans = 0
-    for text, top in (("(()())(())", 600), ("()()(()())", 450)):
+    for text, top in (("(()())(())", 600), ("()()(()())", 450), ("()((()))", 12)):
         worms = plain_trace(W(text), top, DENSE_LIMIT)
         assert len(worms) == top + 1
         lengths = [len(w.entries) for w in worms]
