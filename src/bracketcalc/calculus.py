@@ -66,11 +66,14 @@ _ARITY = {
 
 _NEEDS_SIDE = {"RMonoOuter", "RMonoAbsorb", "RNeg5"}
 
-# the v1 layout around a node's premises, with strings json reads as they are
-_HEAD = re.compile(
-    r'\{"conclusion": \{"lhs": "([^"\\\x00-\x1f]*)", "rhs": "([^"\\\x00-\x1f]*)"\}, "premises": \['
+# the v1 layout around a node's premises, with strings json reads as they
+# are; a node without premises or side is read whole, its rule in group 3
+_STR = r'"([^"\\\x00-\x1f]*)"'
+_NODE = re.compile(
+    r'\{"conclusion": \{"lhs": %s, "rhs": %s\}, "premises": \['
+    r'(?:\], "rule": %s, "side": null\})?' % (_STR, _STR, _STR)
 )
-_TAIL = re.compile(r'\], "rule": "([^"\\\x00-\x1f]*)", "side": (null)?')
+_TAIL = re.compile(r'\], "rule": %s, "side": (null)?' % _STR)
 
 
 class NotProvable(ValueError):
@@ -162,15 +165,24 @@ def formula_worm(f: BracketFormula):
         f = f.body
 
 
+def _spells(f: BracketFormula, w: BracketWorm) -> bool:
+    """Whether f is worm_formula(w), read off f without building it."""
+    for e in w.entries:
+        if f.__class__ is not Diamond or f.label is not e:
+            return False
+        f = f.body
+    return f is TOP
+
+
 def _side_shape(side_concl: Sequent, a: BracketWorm, b: BracketWorm):
     """'plain', 'strict', or None: how the side relates worms a and b."""
-    if side_concl.lhs != worm_formula(a):
+    if not _spells(side_concl.lhs, a):
         return None
-    wb = worm_formula(b)
-    if side_concl.rhs == Diamond(TOP_WORM, wb):
-        return "strict"
-    if side_concl.rhs == wb:
+    rhs = side_concl.rhs
+    if _spells(rhs, b):
         return "plain"
+    if rhs.__class__ is Diamond and rhs.label is TOP_WORM and _spells(rhs.body, b):
+        return "strict"
     return None
 
 
@@ -267,9 +279,10 @@ def check_derivation(cert: Certificate) -> CheckResult:
     again, its first occurrence and everything below it have passed.
     """
     seen = set()
-    # (node, its parent's entry, the step from there); a path is joined
-    # only for the failing node, so a deep chain costs linear space
-    stack = [(cert, None, "root")]
+    # (node, its parent's entry, its premise index or -1 for the side); a
+    # path is spelled out only for the failing node, so a deep chain costs
+    # linear space
+    stack = [(cert, None, 0)]
     while stack:
         entry = stack.pop()
         node = entry[0]
@@ -279,14 +292,17 @@ def check_derivation(cert: Certificate) -> CheckResult:
         reason = _check_node(node)
         if reason is not None:
             steps = []
-            while entry is not None:
-                _, entry, step = entry
-                steps.append(step)
+            while entry[1] is not None:
+                _, parent, i = entry
+                steps.append(".side" if i < 0 else ".premises[%d]" % i)
+                entry = parent
+            steps.append("root")
             return CheckResult(False, "".join(reversed(steps)), reason)
         if node.side is not None:
-            stack.append((node.side, entry, ".side"))
-        for i in reversed(range(len(node.premises))):
-            stack.append((node.premises[i], entry, ".premises[%d]" % i))
+            stack.append((node.side, entry, -1))
+        premises = node.premises
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append((premises[i], entry, i))
     return VALID
 
 
@@ -312,11 +328,11 @@ def certificate_to_json(cert: Certificate) -> str:
     sort_keys=True writes, byte for byte.
 
     Each distinct node is turned once into its literal text around its
-    children: a head up to the opening bracket of its premises, and a tail
-    from the closing bracket to its side.  Each distinct formula is printed
-    and quoted once, sharing one label table, so each distinct diamond
-    label is printed once.  A walk of the tree with an explicit stack then
-    emits the fragments of every occurrence, so any depth encodes.
+    children; a child without premises or side is written into that text.
+    Each distinct formula is printed and quoted once, sharing one label
+    table, so each distinct diamond label is printed once.  A walk of the
+    tree with an explicit stack then emits the fragments of every
+    occurrence, so any depth encodes.
     """
     quoted: dict = {}
     labels: dict = {}
@@ -327,6 +343,21 @@ def certificate_to_json(cert: Certificate) -> str:
             got = quoted[f] = _quote(print_formula(f, labels))
         return got
 
+    def layout(node: Certificate) -> list:
+        """The literal text of node and its children, in order."""
+        concl = node.conclusion
+        items = ['{"conclusion": {"lhs": %s, "rhs": %s}, "premises": [' % (
+            text(concl.lhs), text(concl.rhs)
+        )]
+        for i, p in enumerate(node.premises):
+            if i:
+                items.append(", ")
+            items.append(p)
+        items.append('], "rule": %s, "side": ' % _quote(node.rule))
+        items += ("null}",) if node.side is None else (node.side, "}")
+        return items
+
+    leaves: dict = {}  # node without premises or side -> its whole text
     # node -> its fragments and children, last first, ready to push
     parts: dict = {}
     todo = [cert]
@@ -334,21 +365,21 @@ def certificate_to_json(cert: Certificate) -> str:
         node = todo.pop()
         if node in parts:
             continue
-        concl = node.conclusion
-        seq = ['{"conclusion": {"lhs": %s, "rhs": %s}, "premises": [' % (
-            text(concl.lhs), text(concl.rhs)
-        )]
-        for i, p in enumerate(node.premises):
-            if i:
-                seq.append(", ")
-            seq.append(p)
-            todo.append(p)
-        tail = '], "rule": %s, "side": ' % _quote(node.rule)
-        if node.side is None:
-            seq.append(tail + "null}")
-        else:
-            seq += (tail, node.side, "}")
-            todo.append(node.side)
+        seq = []
+        frag = ""
+        for item in layout(node):
+            if item.__class__ is not str:
+                if item.premises or item.side is not None:
+                    seq += (frag, item)
+                    frag = ""
+                    todo.append(item)
+                    continue
+                leaf = leaves.get(item)
+                if leaf is None:
+                    leaf = leaves[item] = "".join(layout(item))
+                item = leaf
+            frag += item
+        seq.append(frag)
         seq.reverse()
         parts[node] = seq
     out = []
@@ -421,30 +452,45 @@ def certificate_from_json(text: str) -> Certificate:
     """Decode v1 JSON text; equal subtrees become one shared node.
 
     A loop with an explicit stack reads the layout certificate_to_json
-    writes, at any depth, parsing each distinct formula string once.  The
-    formulas share one label table, so a label group met again in any of
-    them is taken from it rather than parsed.  Text that starts with the
-    bytes of the last node built with the same conclusion is the same JSON
-    value, since an object's text ends at its closing brace, so that node
-    is reused and its span skipped.  Other text goes to the strict walk
-    certificate_from_json_obj, which raises the error it deserves."""
+    writes, at any depth.  A node without premises or side is read in one
+    match, and its text pair and rule give its node at once if one was built
+    before.  Text that starts with the bytes of the last node built with the
+    same conclusion text is the same JSON value, since an object's text ends
+    at its closing brace, so that node is reused and its span skipped.
+    Formulas are parsed only for a node being built, each distinct string
+    once, and they share one label table, so a label group met again in any
+    of them is taken from it rather than parsed.  Other text goes to the
+    strict walk certificate_from_json_obj, which raises the error it
+    deserves."""
     formulas: dict = {}
     labels: dict = {}
-    last: dict = {}  # conclusion -> (start, length, node) of the last node built
-    stack: list = []  # open nodes: [conclusion, start, premises(, rule)]
+
+    def sequent(key: tuple) -> Sequent:
+        """The conclusion of a node whose lhs and rhs texts lead key."""
+        for f in key[:2]:
+            if f not in formulas:
+                formulas[f] = parse_formula(f, labels)
+        return Sequent(formulas[key[0]], formulas[key[1]])
+
+    leaves: dict = {}  # (lhs, rhs, rule) text -> the node without premises or side
+    last: dict = {}  # (lhs, rhs, None) text -> (start, length, node) of the last node built
+    stack: list = []  # open nodes: [conclusion text, start, premises(, rule)]
     pos = len(text) - len(text.lstrip(" \t\n\r"))
     node = ...  # a node starts at pos; None is a null side
     try:
         while node is ... or stack:
             if node is ...:
-                m = _HEAD.match(text, pos)
+                m = _NODE.match(text, pos)
                 if m is None:
                     break
-                for f in m.groups():
-                    if f not in formulas:
-                        formulas[f] = parse_formula(f, labels)
-                concl = Sequent(formulas[m[1]], formulas[m[2]])
-                start, length, reuse = last.get(concl, (0, 0, None))
+                key = m.groups()
+                if key[2] is not None:
+                    node = leaves.get(key)
+                    if node is None:
+                        node = leaves[key] = Certificate(sequent(key), key[2])
+                    pos = m.end()
+                    continue
+                start, length, reuse = last.get(key, (0, 0, None))
                 # chunks double, so a mismatch costs about the bytes matched
                 i, k = 0, min(64, length)
                 while k and text.startswith(text[start + i : start + i + k], pos + i):
@@ -452,7 +498,7 @@ def certificate_from_json(text: str) -> Certificate:
                 if reuse is not None and not k:
                     node, pos = reuse, pos + length
                     continue
-                stack.append([concl, pos, []])
+                stack.append([key, pos, []])
                 pos = m.end()
                 if text.startswith("{", pos):
                     continue
@@ -465,9 +511,10 @@ def certificate_from_json(text: str) -> Certificate:
             elif not text.startswith("}", pos):
                 break
             else:  # node is the side
-                concl, start, premises, rule = stack.pop()
-                node, pos = Certificate(concl, rule, premises, node), pos + 1
-                last[concl] = (start, pos - start, node)
+                key, start, premises, rule = stack.pop()
+                node = Certificate(sequent(key), rule, premises, node)
+                pos += 1
+                last[key] = (start, pos - start, node)
                 continue
             # the premises of the innermost open node end at pos
             m = _TAIL.match(text, pos)

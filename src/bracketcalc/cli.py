@@ -12,13 +12,16 @@ EQw, once per zero entry; or an ordinal too large to build, such as fs of
 omega**(w+1) at an index of 10**18 or more, whose term tuple overflows or
 cannot be allocated).  Worms and formulas parse and print, and certificates
 encode and decode, at any depth; only a certificate outside the v1 layout
-is still read by json's scanner, which recurses.
+is still read by json's scanner, which recurses.  141 (128 + SIGPIPE, what a
+shell reports for a process that signal ends): stdout was closed before the
+output was written, as when piped into `head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .calculus import (
@@ -38,6 +41,7 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_LIMIT = 4
+EXIT_PIPE = 141
 
 
 def _parse_error(err) -> int:
@@ -228,7 +232,16 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left to write, and the flush at
+        # shutdown, go to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ParseError as err:
         return _parse_error(err)
     except (RuntimeError, OverflowError, MemoryError) as err:

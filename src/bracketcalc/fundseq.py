@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
 from .ordinals import (
@@ -44,16 +43,56 @@ def fs_bracket(a: BracketWorm, n: int) -> BracketWorm:
     return BracketWorm(bpref * (n + 1) + e[split:])
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A budgeted descent of bracket worms or of ordinals."""
+class _Record:
+    """A read-only value with the fields named in its class's __slots__:
+    equality, hash and repr go by class and fields, as a frozen
+    dataclass's do, without importing dataclasses at start-up."""
 
-    start: object  # a BracketWorm or an Ordinal; the steps are of its type
-    terminated: bool
-    steps_used: int
-    budget: int
-    head: tuple  # first steps of the trace, including the start
-    tail: tuple  # last steps of the trace; empty if head covers everything
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % pair for pair in zip(self.__slots__, self._values())),
+        )
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Trace(_Record):
+    """A budgeted descent of bracket worms or of ordinals.
+
+    start: a BracketWorm or an Ordinal; the steps are of its type.
+    head: the first steps, including the start.  tail: the last steps;
+    empty if head covers everything."""
+
+    __slots__ = ("start", "terminated", "steps_used", "budget", "head", "tail")
 
     @property
     def complete(self) -> bool:
@@ -231,14 +270,12 @@ def gamma(n: int) -> Ordinal:
     return out
 
 
-@dataclass(frozen=True)
-class Found:
-    steps: int
+class Found(_Record):
+    __slots__ = ("steps",)
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    steps: int
+class BudgetExhausted(_Record):
+    __slots__ = ("steps",)
 
 
 def F_witness(m: int, budget: int):

@@ -19,6 +19,7 @@ calls that share it, as the certificate codec does for one certificate.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 
 from ._intern import lookup, store
 
@@ -207,73 +208,92 @@ def _group(s: Scanner) -> BracketWorm:
     return w
 
 
-_ATOM_START = ("T", "p", "(", "[")
+_NEST = {"(": 1, ")": -1}
+# a label group nested at most 16 deep and without whitespace, read in one
+# match; _formula_body finds the end of any other in the bracket depth
+_GROUP = r"\(\)"
+for _ in range(15):
+    _GROUP = r"\((?:%s)*\)" % _GROUP
+_GROUP = re.compile(_GROUP)
 
 
 def _formula_body(s: Scanner, labels: dict) -> BracketFormula:
     """Atoms joined by `&` to the left.  An atom is `T`, `p<digits>`,
     `[` formula `]`, or a group followed by an optional atom.
 
-    labels maps a label group's first 4 characters to its last 4 `(text,
-    worm)` pairs, newest first.  A group ends where its own brackets close,
-    so text at a `(` that starts with a pair's text is that group."""
+    labels maps the text of each label group read so far to its worm.  A
+    group ends where its own brackets close: _GROUP matches it, or else the
+    bracket depth after each character, counted once per text, shows where.
+    So a group met again is one lookup.  Tokens are read off the text, and
+    only whitespace goes through a regular expression."""
     text = s.text
+    pos = s.pos
+    nest = None  # made at the first group _GROUP does not match
     # innermost last: the label of each diamond whose body atom is being
     # read and, for each open `[`, the conjunction read before it (or None)
     stack = []
     left = None  # the conjunction read so far in the innermost formula
     while True:
-        c = s.next()
+        c = text[pos:pos + 1]
+        if c.isspace():
+            pos = _SPACE.match(text, pos).end()
+            c = text[pos:pos + 1]
+        if c == "(":
+            m = _GROUP.match(text, pos)
+            if m is not None:
+                end = m.end()
+            else:  # deeper than _GROUP reads, spaced out, or unclosed
+                if nest is None:
+                    nest = list(accumulate(map(_NEST.get, text, repeat(0))))
+                try:
+                    end = nest.index(nest[pos] - 1, pos) + 1
+                except ValueError:  # unclosed: the group parser says where
+                    end = len(text)
+            key = text[pos:end]
+            label = labels.get(key)
+            if label is None:
+                s.pos = pos
+                label = labels[key] = _group(s)
+            pos = end
+            stack.append(label)
+            continue
         if c == "T":
-            s.pos += 1
+            pos += 1
             f = TOP
-        elif c == "p":
-            s.pos += 1
-            start = s.pos
-            index = s.number("variable index")
-            if index < 1:
-                raise ParseError("variable index must be positive", start)
-            f = Var(index)
         elif c == "[":
-            s.pos += 1
+            pos += 1
             stack.append(left)
             left = None
             continue
-        elif c == "(":
+        elif c == "p":
+            s.pos = pos + 1
+            index = s.number("variable index")
+            if index < 1:
+                raise ParseError("variable index must be positive", pos + 1)
             pos = s.pos
-            key = text[pos:pos + 4]
-            hits = labels.get(key, ())
-            for i, (group, label) in enumerate(hits):
-                if text.startswith(group, pos):
-                    s.pos += len(group)
-                    hits.insert(0, hits.pop(i))
-                    break
-            else:
-                label = _group(s)
-                # at most 4 per key: a list without a bound is searched in
-                # full for each new label, quadratic in distinct labels
-                if s.pos - pos >= 4:
-                    hits = labels.setdefault(key, [])
-                    hits.insert(0, (text[pos:s.pos], label))
-                    del hits[4:]
-            if s.next() in _ATOM_START:
-                stack.append(label)
-                continue
-            f = Diamond(label, TOP)
+            f = Var(index)
+        elif stack and stack[-1].__class__ is BracketWorm:
+            f = TOP  # a group without a body atom
         else:
+            s.pos = pos
             s.fail("expected formula")
         # f is a whole atom; `]` makes the bracketed formula one as well
         while True:
             while stack and stack[-1].__class__ is BracketWorm:
                 f = Diamond(stack.pop(), f)
             left = f if left is None else Conj(left, f)
-            c = s.next()
+            c = text[pos:pos + 1]
+            if c.isspace():
+                pos = _SPACE.match(text, pos).end()
+                c = text[pos:pos + 1]
             if c == "&":
-                s.pos += 1
+                pos += 1
                 break
+            s.pos = pos
             if not stack:
                 return left
             s.expect("]")
+            pos = s.pos
             f = left
             left = stack.pop()
 

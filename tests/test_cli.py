@@ -22,6 +22,7 @@ from bracketcalc import (
     prove_lt,
 )
 from bracketcalc.syntax import TOP
+from bracketcalc import cli
 from bracketcalc.cli import main
 from certfuzz import garbage as _garbage, mutate
 
@@ -351,6 +352,45 @@ def test_cli_import_leaves_compact_engine_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up time: dataclasses pulls in inspect, ast, dis and tokenize
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, bracketcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("step", "(()())(())", "--budget", "6000"),
+        ("prove", "lt", "(((((())))))", "((((()()))))"),
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # a reader that stops after one byte, as `| head -c 1` does; each output
+    # is far larger than a pipe buffer, so the writer must meet the closed end
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bracketcalc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(1) in (b"(", b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    assert proc.returncode == cli.EXIT_PIPE == 141
 
 
 _PARSER_SEQUENCE = (

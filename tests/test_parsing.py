@@ -213,9 +213,13 @@ _DIGITS = "0123456789\u0661\u0662\u00b2\u00b9"  # Arabic-Indic 1 2 are decimal, 
 # capitals stand for tokens, so that random text often parses a while
 _TOKENS = str.maketrans({"F": "phi(", "P": "p1", "W": "w^", "E": "()", "Z": "0,"})
 # label groups of at least 4 characters, with space inside and around, some
-# sharing their first 4; repeated within one text among atoms and malformed
-# tails, so that labels met again come from the parser's table
-_LABELS = ("(())", "( ())", "(() )", "(()())", "(()(()))", "((\t)())", " (((()))) ")
+# sharing their first 4, one nested deeper than the group pattern the
+# formula parser matches in one go; repeated within one text among atoms
+# and malformed tails, so that labels met again come from the parser's table
+_LABELS = (
+    "(())", "( ())", "(() )", "(()())", "(()(()))", "((\t)())", " (((()))) ",
+    "(" * 17 + "()" + ")" * 17,
+)
 _AFTER = ("T", "p1", "&", "[", "]", " ", "\n", "p", "p0", "x", ")", "(()", "((()")
 
 
@@ -304,8 +308,8 @@ def test_deep_worm_parses_at_the_default_recursion_limit():
 
 
 def test_distinct_labels_sharing_a_prefix_parse_in_linear_time():
-    # the parser keeps a few labels per 4-character prefix: a list without
-    # a bound is searched in full for each new label, here 20 000 times
+    # 20 000 distinct labels that share their first characters: each new
+    # one costs a lookup by its whole text and one parse, never a search
     labels = (
         "(((((" + "".join("(())" if i >> k & 1 else "()" for k in range(15)) + ")))))"
         for i in range(20_000)
