@@ -52,6 +52,10 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+            return
         values = dict(zip(names, args), **kwargs)
         if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
             raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))

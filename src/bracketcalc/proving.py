@@ -35,7 +35,7 @@ from .calculus import (
     SideMismatch,
     decide_le,
     formula_worm,
-    worm_formula,
+    worm_formula as wf,
 )
 from .fundseq import fs_bracket
 from .ordinals import ONE, Ordinal, add, cmp, left_sub
@@ -83,10 +83,6 @@ def _memoized(fn):
         return got
 
     return call
-
-
-# the worm as a formula, built once per call
-wf = _memoized(worm_formula)
 
 
 # --- node builders -----------------------------------------------------------

@@ -19,7 +19,6 @@ calls that share it, as the certificate codec does for one certificate.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, repeat
 
 from ._intern import lookup, store
 
@@ -208,9 +207,8 @@ def _group(s: Scanner) -> BracketWorm:
     return w
 
 
-_NEST = {"(": 1, ")": -1}
 # a label group nested at most 16 deep and without whitespace, read in one
-# match; _formula_body finds the end of any other in the bracket depth
+# match; _formula_body parses any other with _group
 _GROUP = r"\(\)"
 for _ in range(15):
     _GROUP = r"\((?:%s)*\)" % _GROUP
@@ -222,13 +220,11 @@ def _formula_body(s: Scanner, labels: dict) -> BracketFormula:
     `[` formula `]`, or a group followed by an optional atom.
 
     labels maps the text of each label group read so far to its worm.  A
-    group ends where its own brackets close: _GROUP matches it, or else the
-    bracket depth after each character, counted once per text, shows where.
-    So a group met again is one lookup.  Tokens are read off the text, and
-    only whitespace goes through a regular expression."""
+    group that _GROUP matches costs one match and one lookup when met
+    again; a deeper or spaced-out one is parsed by _group each time.  Other
+    tokens are read off the text, skipping whitespace in one _SPACE match."""
     text = s.text
     pos = s.pos
-    nest = None  # made at the first group _GROUP does not match
     # innermost last: the label of each diamond whose body atom is being
     # read and, for each open `[`, the conjunction read before it (or None)
     stack = []
@@ -240,21 +236,18 @@ def _formula_body(s: Scanner, labels: dict) -> BracketFormula:
             c = text[pos:pos + 1]
         if c == "(":
             m = _GROUP.match(text, pos)
-            if m is not None:
-                end = m.end()
-            else:  # deeper than _GROUP reads, spaced out, or unclosed
-                if nest is None:
-                    nest = list(accumulate(map(_NEST.get, text, repeat(0))))
-                try:
-                    end = nest.index(nest[pos] - 1, pos) + 1
-                except ValueError:  # unclosed: the group parser says where
-                    end = len(text)
-            key = text[pos:end]
-            label = labels.get(key)
-            if label is None:
+            if m is None:  # deeper than _GROUP reads, spaced out, or unclosed
                 s.pos = pos
-                label = labels[key] = _group(s)
-            pos = end
+                label = _group(s)
+                pos = s.pos
+            else:
+                end = m.end()
+                key = text[pos:end]
+                label = labels.get(key)
+                if label is None:
+                    s.pos = pos
+                    label = labels[key] = _group(s)
+                pos = end
             stack.append(label)
             continue
         if c == "T":

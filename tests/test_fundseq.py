@@ -1,6 +1,8 @@
 """Fundamental sequences, step-down traces, and the growth witnesses."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 from collections import deque
@@ -505,6 +507,48 @@ def test_G_witness_steps_a_deep_head_without_recursion():
     # limit; the second step steps the whole chain of leading entries
     assert sys.getrecursionlimit() <= 1000
     assert G_witness(600, 2) == BudgetExhausted(2)
+
+
+def test_results_are_read_only_values():
+    # Found, BudgetExhausted and Trace behave as frozen records do: their
+    # repr names the fields, equality and hash go by class and fields, a
+    # copy or a pickled copy is equal, and fields cannot be assigned, deleted
+    # or misnamed
+    assert repr(BudgetExhausted(100000)) == "BudgetExhausted(steps=100000)"
+    assert repr(Found(steps=3)) == "Found(steps=3)"
+    assert Found(3) == Found(steps=3) and Found(3) != Found(4)
+    assert Found(3) != BudgetExhausted(3)
+    assert hash(Found(3)) == hash(Found(steps=3))
+    assert len({Found(3), Found(3), BudgetExhausted(3)}) == 2
+    tr = step_iter(W("(())"), 10, window=2)
+    assert tr == step_iter(W("(())"), 10, window=2)
+    assert tr != step_iter(W("(())"), 11, window=2)
+    assert hash(tr) == hash(step_iter(W("(())"), 10, window=2))
+    assert repr(tr) == (
+        "Trace(start=BracketWorm((())), terminated=True, steps_used=3, budget=10, "
+        "head=(BracketWorm((())), BracketWorm(()()), BracketWorm(())), tail=(BracketWorm(T),))"
+    )
+    for value in (Found(3), BudgetExhausted(0)):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+    assert copy.copy(tr) == tr
+    for value in (Found(3), BudgetExhausted(0), tr):
+        name = value.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+    for bad in ((), (1, 2)):
+        with pytest.raises(TypeError):
+            Found(*bad)
+    with pytest.raises(TypeError):
+        Found(count=3)
+    with pytest.raises(TypeError):
+        Found(3, steps=3)
+    with pytest.raises(TypeError):
+        Trace(W("()"), True, 0, 0, ())
 
 
 def test_F_le_G_where_found():

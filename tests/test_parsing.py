@@ -215,7 +215,8 @@ _TOKENS = str.maketrans({"F": "phi(", "P": "p1", "W": "w^", "E": "()", "Z": "0,"
 # label groups of at least 4 characters, with space inside and around, some
 # sharing their first 4, one nested deeper than the group pattern the
 # formula parser matches in one go; repeated within one text among atoms
-# and malformed tails, so that labels met again come from the parser's table
+# and malformed tails, so that labels met again come from the parser's
+# table, or are parsed again when spaced out or nested that deep
 _LABELS = (
     "(())", "( ())", "(() )", "(()())", "(()(()))", "((\t)())", " (((()))) ",
     "(" * 17 + "()" + ")" * 17,
