@@ -24,6 +24,18 @@ def _drop(r: _Entry) -> None:
         del _TABLE[r.key]
 
 
+class Interned:
+    """Base of the interned node classes.  It holds the weak-reference slot
+    the table needs; a copy, deep copy or pickle of a node calls its class
+    on its public fields, which gives back the node itself."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        names = type(self).__slots__
+        return type(self), tuple(getattr(self, n) for n in names if n[0] != "_")
+
+
 def lookup(key):
     """The live node stored under key, or None."""
     r = _TABLE.get(key)

@@ -37,7 +37,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
 
-from ._intern import lookup, store
+from ._intern import Interned, lookup, store
 from .ordinals import cmp
 from .syntax import (
     TOP,
@@ -88,8 +88,8 @@ class HasVariables(ValueError):
     pass
 
 
-class Sequent:
-    __slots__ = ("lhs", "rhs", "__weakref__")
+class Sequent(Interned):
+    __slots__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: BracketFormula, rhs: BracketFormula):
         key = (cls, lhs, rhs)
@@ -104,8 +104,8 @@ class Sequent:
         return "%s |- %s" % (print_formula(self.lhs), print_formula(self.rhs))
 
 
-class Certificate:
-    __slots__ = ("conclusion", "rule", "premises", "side", "__weakref__")
+class Certificate(Interned):
+    __slots__ = ("conclusion", "rule", "premises", "side")
 
     def __new__(cls, conclusion: Sequent, rule: str, premises=(), side=None):
         if rule not in _ARITY:
@@ -393,16 +393,11 @@ def certificate_to_json(cert: Certificate) -> str:
     return "".join(out)
 
 
-def _decode_formula(text) -> BracketFormula:
-    if not isinstance(text, str):
-        raise ValueError("certificate formula is not a string: %s" % type(text).__name__)
-    return parse_formula(text)
-
-
 def certificate_from_json_obj(obj) -> Certificate:
     """Decode a v1 JSON tree; equal subtrees become one shared node.
 
-    Each distinct formula string is parsed once.
+    Each distinct formula string is parsed once, and all of them share one
+    label table, as in certificate_from_json.
     """
     # build bottom-up with an explicit stack so deep trees stay safe
     todo = [obj]
@@ -425,13 +420,14 @@ def certificate_from_json_obj(obj) -> Certificate:
         if side is not None:
             todo.append(side)
     formulas: dict = {}
+    labels: dict = {}
 
     def formula(text) -> BracketFormula:
         if not isinstance(text, str):
-            return _decode_formula(text)
+            raise ValueError("certificate formula is not a string: %s" % type(text).__name__)
         got = formulas.get(text)
         if got is None:
-            got = formulas[text] = _decode_formula(text)
+            got = formulas[text] = parse_formula(text, labels)
         return got
 
     built: dict = {}

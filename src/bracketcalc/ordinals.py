@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._intern import lookup, store
+from ._intern import Interned, lookup, store
 from .syntax import ParseError, Scanner
 
 
@@ -33,14 +33,14 @@ class OrdinalKind(Enum):
     LIMIT = "limit"
 
 
-class VeblenTerm:
+class VeblenTerm(Interned):
     """A single normal term phi(level, arg) with arg < phi(level, arg).
 
     Terms here are always infinite: phi(0, 0) = 1 lives in the finite part
     of Ordinal instead.
     """
 
-    __slots__ = ("level", "arg", "__weakref__")
+    __slots__ = ("level", "arg")
 
     def __new__(cls, level: "Ordinal", arg: "Ordinal"):
         key = (cls, level, arg)
@@ -55,10 +55,10 @@ class VeblenTerm:
         return "phi(%r,%r)" % (self.level, self.arg)
 
 
-class Ordinal:
+class Ordinal(Interned):
     """terms + fin: normalized sum of infinite terms plus a natural number."""
 
-    __slots__ = ("terms", "fin", "_iota", "__weakref__")
+    __slots__ = ("terms", "fin", "_iota")
 
     def __new__(cls, terms: tuple = (), fin: int = 0):
         key = (cls, terms, fin)

@@ -50,7 +50,7 @@ from .syntax import (
     Var,
     print_worm,
 )
-from .worms import first_below, iota_worm, o_star, to_nf, uparrow_bracket
+from .worms import first_below, iota_worm, o_star, star, to_nf, uparrow_bracket, worm_iota
 
 _FS_SEARCH_CAP = 200000
 
@@ -232,37 +232,33 @@ def suffix_plain(w: BracketWorm, i: int) -> Certificate:
     return c
 
 
-def merge_push(u: BracketWorm, vz: BracketWorm, strict_side_for) -> Certificate:
-    """Conj(u, vz) |- u ++ vz, pushing vz inside u one diamond at a time.
-
-    Requires the head of vz to lie strictly below every entry of u;
-    strict_side_for(v, entry) must certify that.
-    """
-    assert vz.entries
-    v = vz.entries[0]
-    zf = wf(_slice(vz, 1))
-    vzf = wf(vz)
-    c = Certificate(Sequent(Conj(TOP, vzf), vzf), "AxConjR")
-    for j in range(len(u.entries) - 1, -1, -1):
-        e = u.entries[j]
-        body = wf(_slice(u, j + 1))
-        step1 = rneg5(e, body, v, zf, strict_side_for(v, e))
-        step2 = mono(e, e, c, side_refl(e))
-        c = cut(step1, step2)
-    return c
-
-
-def derive_concat(cu: Certificate, cvz: Certificate, strict_side_for) -> Certificate:
-    """From X |- u and X |- vz conclude X |- u ++ vz."""
-    u = formula_worm(cu.conclusion.rhs)
-    vz = formula_worm(cvz.conclusion.rhs)
-    assert u is not None and vz is not None and vz.entries
-    return cut(conj_intro(cu, cvz), merge_push(u, vz, strict_side_for))
-
-
 def _strict_side(b: BracketWorm, a: BracketWorm) -> Certificate:
     """Certificate witnessing b strictly below a."""
     return GTw(a, b)
+
+
+def derive_concat(cu: Certificate, cvz: Certificate, strict_side_for=_strict_side) -> Certificate:
+    """From X |- u and X |- vz conclude X |- u ++ vz, pushing vz inside u
+    one diamond at a time.
+
+    Requires the head v of vz to lie strictly below every entry of u;
+    strict_side_for(v, entry) must certify that, as GTw does by default.
+    """
+    vzf = cvz.conclusion.rhs
+    assert isinstance(vzf, Diamond)
+    v = vzf.label
+    diamonds = []
+    f = cu.conclusion.rhs
+    while isinstance(f, Diamond):
+        diamonds.append(f)
+        f = f.body
+    assert f is TOP
+    c = ax_conj_r(TOP, vzf)
+    for d in reversed(diamonds):
+        e = d.label
+        step1 = rneg5(e, d.body, v, vzf.body, strict_side_for(v, e))
+        c = cut(step1, mono(e, e, c, side_refl(e)))
+    return cut(conj_intro(cu, cvz), c)
 
 
 def _order_side(b: BracketWorm, a: BracketWorm) -> Certificate:
@@ -275,18 +271,13 @@ def _order_side(b: BracketWorm, a: BracketWorm) -> Certificate:
 # --- normal form certificates ---------------------------------------------------
 
 
-def _nf_entries(w: BracketWorm) -> BracketWorm:
-    """w with every entry in normal form."""
-    return BracketWorm(tuple(to_nf(e) for e in w.entries))
-
-
 def _lowered(mu: Ordinal, w: BracketWorm) -> BracketWorm:
     """w with every entry's order type lowered by mu, in canonical form."""
     return BracketWorm(tuple(iota_worm(left_sub(mu, o_star(e))) for e in w.entries))
 
 
 def _bridge_std(w: BracketWorm, w0: BracketWorm) -> Certificate:
-    """Plain w |- w0 for w0 = _nf_entries(w), entry by entry."""
+    """Plain w |- w0 for w0 = worm_iota(star(w)), entry by entry."""
     c = ax_id(TOP)
     for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
         c = mono(e, e0, c, side_refl(e) if e == e0 else STD(e))
@@ -294,7 +285,7 @@ def _bridge_std(w: BracketWorm, w0: BracketWorm) -> Certificate:
 
 
 def _bridge_dts(w: BracketWorm, w0: BracketWorm) -> Certificate:
-    """Plain w0 |- w for w0 = _nf_entries(w), entry by entry."""
+    """Plain w0 |- w for w0 = worm_iota(star(w)), entry by entry."""
     c = ax_id(TOP)
     for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
         c = mono(e0, e, c, side_refl(e) if e == e0 else DTS(e))
@@ -332,7 +323,7 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     cv = tail_strict(w, i + 1)
     if v != nv:
         cv = cut(cv, mono(TOP_WORM, TOP_WORM, STD(v), side_refl(TOP_WORM)))
-    c1 = derive_concat(cu, cv, lambda b, a: gt_top(a))
+    c1 = derive_concat(cu, cv)
     w1 = _concat_w(nu, _cons(TOP_WORM, nv))
     if w1 == n:
         return c1
@@ -345,13 +336,13 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     assert nv.entries[len(nv.entries) - len(wp.entries):] == wp.entries
     f1 = drop_suffix(w1, k)
     f2 = tail_strict(w1, len(w1.entries) - len(wp.entries))
-    fuse = derive_concat(f1, f2, lambda b, a: gt_top(a))
+    fuse = derive_concat(f1, f2)
     return cut(c1, fuse)
 
 
 def _std_shifted(w: BracketWorm) -> Certificate:
     mu = min(map(o_star, w.entries))
-    w0 = _nf_entries(w)
+    w0 = worm_iota(star(w))
     lifted = lift_cert(mu, STD(_lowered(mu, w)))
     assert lifted.conclusion.lhs == wf(w0)
     if w == w0:
@@ -389,12 +380,12 @@ def _dts_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
         cvz = gt_top(n)
     else:
         cvz = GTw(n, v)
-    return derive_concat(cu, cvz, lambda b, a: gt_top(a))
+    return derive_concat(cu, cvz)
 
 
 def _dts_shifted(w: BracketWorm) -> Certificate:
     mu = min(map(o_star, w.entries))
-    w0 = _nf_entries(w)
+    w0 = worm_iota(star(w))
     lifted = lift_cert(mu, DTS(_lowered(mu, w)))
     assert formula_worm(lifted.conclusion.rhs) == w0
     if w0 == w:
@@ -481,11 +472,12 @@ def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
         if nxt is None:
             raise RuntimeError("fundamental sequence search exhausted")
         step = agtan(cur, n)
+        assert formula_worm(step.conclusion.rhs.body) == nxt
         if c is None:
             c = step
         else:
             c = cut(c, mono(TOP_WORM, TOP_WORM, step, side_refl(TOP_WORM)))
-            c = cut(c, absorb_tt(wf(nxt)))
+            c = cut(c, absorb_tt(step.conclusion.rhs.body))
         cur = nxt
         if cmp(o_star(cur), ob) == 0:
             break
@@ -507,27 +499,20 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
     l = first_below(e, o_star(a1))
     a1n = fs_bracket(a1, n)
     r0 = agtan(a1, n)
-    rest = _slice(a, 1)
-    s0 = mono(a1, a1n, ax_id(wf(rest)), r0)
-    pref = _slice(a, 0, l)
     proj = drop_suffix(a, l)
+    rest_f = proj.conclusion.lhs.body
 
     def strict_side(v: BracketWorm, u: BracketWorm) -> Certificate:
         assert v == a1n
         return r0 if u == a1 else GTw(u, a1n)
 
-    q = s0
+    q = mono(a1, a1n, ax_id(rest_f), r0)
     for _ in range(n):
         c1 = derive_concat(proj, q, strict_side)
-        w2 = _concat_w(pref, formula_worm(q.conclusion.rhs))
-        s = mono(a1, a1n, ax_id(wf(_slice(w2, 1))), r0)
-        q = cut(c1, s)
-    final = formula_worm(q.conclusion.rhs)
-    assert final == fs_bracket(a, n)
-    c_a1 = mono(a1, a1, ax_top(wf(rest)), side_refl(a1))
+        q = cut(c1, mono(a1, a1n, ax_id(c1.conclusion.rhs.body), r0))
+    c_a1 = mono(a1, a1, ax_top(rest_f), side_refl(a1))
     c2 = derive_concat(c_a1, q, strict_side)
-    c3 = mono(a1, TOP_WORM, ax_id(wf(final)), side_top(a1))
-    return cut(c2, c3)
+    return cut(c2, mono(a1, TOP_WORM, ax_id(q.conclusion.rhs), side_top(a1)))
 
 
 # --- public provers ------------------------------------------------------------
@@ -612,7 +597,7 @@ def _merge_strict(a: BracketWorm, b: BracketWorm):
     a1 = a.entries[0]
     b1 = b.entries[0]
     a_rest = _slice(a, 1)
-    fa, fb = wf(a), wf(b)
+    fb = wf(b)
     m, f2, b2 = merge_worms(a_rest, b)
     c = _cons(a1, m)
     s = _strict_side(b1, a1)
@@ -655,7 +640,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     ia, ib = first_below(a.entries, alpha), first_below(b.entries, alpha)
     p, r = _slice(a, 0, ia), _slice(a, ia)
     q, s = _slice(b, 0, ib), _slice(b, ib)
-    p0, q0 = _nf_entries(p), _nf_entries(q)
+    p0, q0 = worm_iota(star(p)), worm_iota(star(q))
     m_hat, f_hat, b_hat = merge_worms(_lowered(alpha, p), _lowered(alpha, q))
     m = uparrow_bracket(alpha, m_hat)
     f_lift = lift_cert(alpha, f_hat)
@@ -680,7 +665,7 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
         c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib))
         c_k = cut(conj_intro(c_r, c_s), fk)
         c_worm = _concat_w(m, k)
-        fwd = derive_concat(c_m, c_k, _strict_side)
+        fwd = derive_concat(c_m, c_k)
 
     # backwards: project the merged worm onto each conjunct
     d_m = drop_suffix(c_worm, len(m.entries))
@@ -703,11 +688,11 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
         back_a = back_p
         if r.entries:
             c_r_back = cut(d_rs, ax_conj_l(wf(r), wf(s)))
-            back_a = derive_concat(back_p, c_r_back, _strict_side)
+            back_a = derive_concat(back_p, c_r_back)
         back_b = back_q
         if s.entries:
             c_s_back = cut(d_rs, ax_conj_r(wf(r), wf(s)))
-            back_b = derive_concat(back_q, c_s_back, _strict_side)
+            back_b = derive_concat(back_q, c_s_back)
     back = conj_intro(back_a, back_b)
     return c_worm, fwd, back
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from ._intern import lookup, store
+from ._intern import Interned, lookup, store
 
 
 class ParseError(ValueError):
@@ -29,10 +29,10 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class BracketWorm:
+class BracketWorm(Interned):
     """A finite sequence of bracket worms; the empty sequence is top."""
 
-    __slots__ = ("entries", "_o", "__weakref__")
+    __slots__ = ("entries", "_o")
 
     def __new__(cls, entries: tuple = ()):
         key = (cls, entries)
@@ -53,7 +53,7 @@ class BracketWorm:
 TOP_WORM = BracketWorm()
 
 
-class BracketFormula:
+class BracketFormula(Interned):
     __slots__ = ()
 
 
@@ -74,7 +74,7 @@ TOP = Top()
 
 
 class Var(BracketFormula):
-    __slots__ = ("index", "__weakref__")
+    __slots__ = ("index",)
 
     def __new__(cls, index: int):
         if index < 1:
@@ -91,7 +91,7 @@ class Var(BracketFormula):
 
 
 class Conj(BracketFormula):
-    __slots__ = ("left", "right", "__weakref__")
+    __slots__ = ("left", "right")
 
     def __new__(cls, left: BracketFormula, right: BracketFormula):
         key = (cls, left, right)
@@ -107,7 +107,7 @@ class Conj(BracketFormula):
 
 
 class Diamond(BracketFormula):
-    __slots__ = ("label", "body", "__weakref__")
+    __slots__ = ("label", "body")
 
     def __new__(cls, label: BracketWorm, body: BracketFormula):
         key = (cls, label, body)

@@ -31,7 +31,7 @@ Worm = tuple  # tuple[Ordinal, ...]
 
 
 class RDia(BracketFormula):
-    __slots__ = ("index", "body", "__weakref__")
+    __slots__ = ("index", "body")
 
     def __new__(cls, index: Ordinal, body: BracketFormula):
         key = (cls, index, body)

@@ -1,17 +1,22 @@
 """Derivation checking, order deciders, provers, and the search harness."""
 
 import gc
+import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracketcalc
 from bracketcalc import (
     Certificate,
     HasVariables,
@@ -815,6 +820,76 @@ _AXIOM = (
 )
 def test_decoder_agrees_with_the_strict_walk_at_the_edges(text):
     assert _decoded(certificate_from_json, text) == _decoded(_strict, text)
+
+
+# SHA-256 of the v1 texts, one a line, that _pinned_certificates makes
+_PINNED_DIGEST = "1eb6b49fdfcba36b49543cf519b5e3683249fa277e05587d85a9439e1f6e830b"
+
+
+def _pinned_certificates():
+    yield from _corpus_certificates(4)
+    for mode, a, b in _CERTIFY_CHAINS[:2]:
+        yield (prove_lt if mode == "lt" else prove_le)(W(a), W(b))
+
+
+def test_certificate_bytes_are_pinned():
+    # a change in how the prover builds a node, or in which side derivation
+    # it picks, changes the bytes of some certificate here
+    digest = hashlib.sha256()
+    count = 0
+    for cert in _pinned_certificates():
+        digest.update(certificate_to_json(cert).encode() + b"\n")
+        count += 1
+    assert count == 531
+    assert digest.hexdigest() == _PINNED_DIGEST
+
+
+_CONSTRUCTIONS_RUN = """
+import collections, sys
+from bracketcalc import BracketWorm, Certificate, Sequent, parse_worm, prove_le, prove_lt
+from bracketcalc.syntax import Diamond
+
+counts = collections.Counter()
+
+
+def counted(cls):
+    new = cls.__new__
+
+    def count(*args, **kwargs):
+        counts[cls.__name__] += 1
+        return new(*args, **kwargs)
+
+    cls.__new__ = staticmethod(count)
+
+
+for cls in (BracketWorm, Diamond, Sequent, Certificate):
+    counted(cls)
+a, b = parse_worm(sys.argv[1]), parse_worm(sys.argv[2])
+prove_lt(a, b)
+prove_le(a, b)
+print(counts["Diamond"], counts["BracketWorm"], counts["Sequent"], counts["Certificate"])
+"""
+
+
+def test_prover_builds_each_value_few_times():
+    # a fresh interpreter: iota_worm caches its worm on live ordinals, so
+    # in this one the counts would depend on the tests run before
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONSTRUCTIONS_RUN, *_CHAIN6],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    diamonds, worms, sequents, certificates = map(int, proc.stdout.split())
+    # measured: 9 116 Diamonds and 1 857 BracketWorms, against 11 066 and
+    # 5 663 when derive_concat rebuilt the diamond chains of its premises'
+    # conclusions; 8 496 each of Sequent and Certificate
+    assert diamonds <= 9600, diamonds
+    assert worms <= 3800, worms
+    assert sequents <= 8496, sequents
+    assert certificates <= 8496, certificates
 
 
 def test_decoder_returns_the_strict_walks_node():

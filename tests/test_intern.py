@@ -97,18 +97,23 @@ print(before, peak, len(_TABLE))
 """
 
 
-def test_table_holds_only_live_nodes():
-    # a fresh interpreter: nodes that earlier tests' leftovers keep alive
-    # could die during the run and mask a leak
+def _in_child(source, *args):
+    """What source prints when run in a fresh interpreter on this package."""
     src = str(Path(bracketcalc.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", _LIVE_NODES_RUN],
+        [sys.executable, "-c", source, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    before, peak, after = map(int, proc.stdout.split())
+    return proc.stdout
+
+
+def test_table_holds_only_live_nodes():
+    # a fresh interpreter: nodes that earlier tests' leftovers keep alive
+    # could die during the run and mask a leak
+    before, peak, after = map(int, _in_child(_LIVE_NODES_RUN).split())
     assert peak >= before + 199_990
     assert after == before
 
@@ -156,14 +161,42 @@ def test_prover_keeps_no_certificate_after_a_call():
     # the prover's memo lasts for one call, so the formulas and worms of the
     # certificates it built leave the table once those are dropped; kept
     # across calls, 202 certificates held about 19 000 more entries
-    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROVER_RUN, str(Path(__file__).resolve().parent)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    proved, before, after = map(int, proc.stdout.split())
+    out = _in_child(_PROVER_RUN, str(Path(__file__).resolve().parent))
+    proved, before, after = map(int, out.split())
     assert proved > 150
     assert after <= before + 20
+
+
+_COPY_RUN = """
+import copy, pickle, resource
+# a copy that rebuilt a node in place once ran away to 5.4 GB, or looped
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+from bracketcalc import Sequent, parse_ordinal, parse_worm, prove_lt, step_iter
+from bracketcalc.ordinals import ZERO
+from bracketcalc.syntax import TOP, TOP_WORM, Conj, Diamond, Var
+from bracketcalc.worms import RDia
+
+w = parse_worm("(())")
+o = parse_ordinal("phi(0,1)")
+nodes = (w, o, o.terms[0], TOP, Var(1), Conj(TOP, Var(1)), Diamond(w, TOP),
+         RDia(o, TOP), Sequent(TOP, TOP), prove_lt(w, parse_worm("()")))
+copies = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+for node in nodes:
+    for twin in copies:
+        assert twin(node) is node, type(node).__name__
+trace = step_iter(w, 10, window=2)
+for twin in copies:
+    got = twin(trace)
+    assert got == trace and got.start is w
+    assert all(x is y for x, y in zip(got.head + got.tail, trace.head + trace.tail))
+assert TOP_WORM.entries == () and ZERO.terms == ()
+print(len({type(node) for node in nodes}))
+"""
+
+
+def test_copies_and_pickles_are_the_node_itself():
+    # a copy rebuilt through the class's __new__ and then set the fields of
+    # whatever node that gave, TOP_WORM or ZERO; a capped child keeps a
+    # regression from taking the machine's memory or running on
+    assert _in_child(_COPY_RUN).split() == ["10"]
