@@ -37,6 +37,7 @@ from bracketcalc import (
     parse_formula,
     parse_worm,
     print_formula,
+    print_worm,
     prove_le,
     prove_lt,
     signature,
@@ -842,6 +843,43 @@ def test_certificate_bytes_are_pinned():
         count += 1
     assert count == 531
     assert digest.hexdigest() == _PINNED_DIGEST
+
+
+# SHA-256 of the texts, one a line, that _conjunction_texts makes
+_CONJUNCTION_DIGEST = "856afc78c1b55e5907295526a6b53dc799ad477a2bade2c82469d6f86e8be84c"
+
+# (b, a) for sides b |- a or b |- ()a: reflexive, equal order types,
+# strict, strict down to T, strict between prefixes
+_MONO_SIDES = (
+    ("()", "()"),
+    ("((()))", "((())())"),
+    ("(((())))", "(()())"),
+    ("(())", "T"),
+    ("()()", "()"),
+)
+
+
+def _conjunction_texts():
+    ws = corpus(4)
+    for a in ws:
+        for b in ws:
+            worm, fwd, back = conj_to_worm(Conj(worm_formula(a), worm_formula(b)))
+            yield print_worm(worm)
+            yield certificate_to_json(fwd)
+            yield certificate_to_json(back)
+    yield certificate_to_json(derived_mono([prove_le(W(b), W(a)) for b, a in _MONO_SIDES]))
+
+
+def test_conjunction_certificates_are_pinned():
+    # the merge and normal-form certificates conj_to_worm builds for every
+    # pair of small worms, and one entrywise monotonicity chain
+    digest = hashlib.sha256()
+    count = 0
+    for text in _conjunction_texts():
+        digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 3 * 529 + 1
+    assert digest.hexdigest() == _CONJUNCTION_DIGEST
 
 
 _CONSTRUCTIONS_RUN = """
