@@ -5,16 +5,16 @@ Exit codes: 0 success / true / terminated, 1 false / invalid / not provable,
 2 parse error or unreadable input, 3 budget exhausted, 4 an implementation
 limit exceeded (nesting too deep for the code that still recurses once per
 level: o_star, to_nf, the ordinal parser, print_ordinal and the compressed
-engine's order-type fold (o_cw, _fold_items, _fold_item); a worm too long
-for the prover, which recurses by length in lift_cert, once per diamond of
-a lifted formula and once per level of the certificate, and in STD, DTS and
-EQw, once per zero entry; or an ordinal too large to build, such as fs of
-omega**(w+1) at an index of 10**18 or more, whose term tuple overflows or
-cannot be allocated).  Worms and formulas parse and print, and certificates
-encode and decode, at any depth; only a certificate outside the v1 layout
-is still read by json's scanner, which recurses.  141 (128 + SIGPIPE, what a
-shell reports for a process that signal ends): stdout was closed before the
-output was written, as when piped into `head`.
+engine's order-type fold (o_cw, _fold_items, _fold_item, _seq_over,
+_split_last_zero and CW.min_o); a worm too long for the prover, which recurses
+by length in lift_cert, once per diamond of a lifted formula and once per level
+of the certificate, and in STD, DTS and EQw, once per zero entry; or an ordinal
+too large to build, such as fs of omega**(w+1) at an index of 10**18 or more,
+whose term tuple overflows or cannot be allocated).  Worms and formulas parse
+and print, and certificates encode and decode, at any depth; only a certificate
+outside the v1 layout is still read by json's scanner, which recurses.  141
+(128 + SIGPIPE, what a shell reports for a process that signal ends): stdout
+was closed before the output was written, as when piped into `head`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Everything here builds Certificate trees that check_derivation accepts; no
 result is trusted without being checkable.  The pieces:
 
-  * small node builders wrapping each rule, with shape assertions;
+  * small node builders wrapping each rule, with shape assertions, and one
+    loop, _monos, that builds every chain of monotonicity steps;
   * worm combinators: suffix projection, strict tail projection, the
     conjunction merge that pushes a smaller-headed worm inside a prefix;
   * normal-form certificates STD / DTS between a worm and its canonical
@@ -197,13 +198,16 @@ def absorb_tt(f: BracketFormula) -> Certificate:
     return mono_absorb(TOP_WORM, TOP_WORM, ax_id(f), side_refl(TOP_WORM))
 
 
+def _monos(c: Certificate, triples) -> Certificate:
+    """c wrapped in one mono(a, b, c, side) per (a, b, side), innermost last."""
+    for a, b, side in reversed(triples):
+        c = mono(a, b, c, side)
+    return c
+
+
 def drop_suffix(w: BracketWorm, k: int) -> Certificate:
     """Plain w |- w[:k]; a suffix may always be forgotten."""
-    c = ax_top(wf(_slice(w, k)))
-    for i in range(k - 1, -1, -1):
-        e = w.entries[i]
-        c = mono(e, e, c, side_refl(e))
-    return c
+    return _monos(ax_top(wf(_slice(w, k))), [(e, e, side_refl(e)) for e in w.entries[:k]])
 
 
 def tail_strict(w: BracketWorm, i: int) -> Certificate:
@@ -232,35 +236,6 @@ def suffix_plain(w: BracketWorm, i: int) -> Certificate:
     return c
 
 
-def _strict_side(b: BracketWorm, a: BracketWorm) -> Certificate:
-    """Certificate witnessing b strictly below a."""
-    return GTw(a, b)
-
-
-def derive_concat(cu: Certificate, cvz: Certificate, strict_side_for=_strict_side) -> Certificate:
-    """From X |- u and X |- vz conclude X |- u ++ vz, pushing vz inside u
-    one diamond at a time.
-
-    Requires the head v of vz to lie strictly below every entry of u;
-    strict_side_for(v, entry) must certify that, as GTw does by default.
-    """
-    vzf = cvz.conclusion.rhs
-    assert isinstance(vzf, Diamond)
-    v = vzf.label
-    diamonds = []
-    f = cu.conclusion.rhs
-    while isinstance(f, Diamond):
-        diamonds.append(f)
-        f = f.body
-    assert f is TOP
-    c = ax_conj_r(TOP, vzf)
-    for d in reversed(diamonds):
-        e = d.label
-        step1 = rneg5(e, d.body, v, vzf.body, strict_side_for(v, e))
-        c = cut(step1, mono(e, e, c, side_refl(e)))
-    return cut(conj_intro(cu, cvz), c)
-
-
 def _order_side(b: BracketWorm, a: BracketWorm) -> Certificate:
     """Certificate witnessing b at-or-below a.  Distinct worms of equal
     order type never reach it: lifted labels are canonical, and a suffix
@@ -278,18 +253,22 @@ def _lowered(mu: Ordinal, w: BracketWorm) -> BracketWorm:
 
 def _bridge_std(w: BracketWorm, w0: BracketWorm) -> Certificate:
     """Plain w |- w0 for w0 = worm_iota(star(w)), entry by entry."""
-    c = ax_id(TOP)
-    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-        c = mono(e, e0, c, side_refl(e) if e == e0 else STD(e))
-    return c
+    pairs = zip(w.entries, w0.entries)
+    return _monos(ax_id(TOP), [(e, e0, side_refl(e) if e == e0 else STD(e)) for e, e0 in pairs])
 
 
 def _bridge_dts(w: BracketWorm, w0: BracketWorm) -> Certificate:
     """Plain w0 |- w for w0 = worm_iota(star(w)), entry by entry."""
-    c = ax_id(TOP)
-    for e, e0 in zip(reversed(w.entries), reversed(w0.entries)):
-        c = mono(e0, e, c, side_refl(e) if e == e0 else DTS(e))
-    return c
+    pairs = zip(w.entries, w0.entries)
+    return _monos(ax_id(TOP), [(e0, e, side_refl(e) if e == e0 else DTS(e)) for e, e0 in pairs])
+
+
+def _shifted(w: BracketWorm, nf_cert):
+    """(w0, lifted) for a worm w with no zero entry: w0 is
+    worm_iota(star(w)), and lifted is nf_cert (STD or DTS) of w lowered by
+    its least entry type, lifted back up by that type."""
+    mu = min(map(o_star, w.entries))
+    return worm_iota(star(w)), lift_cert(mu, nf_cert(_lowered(mu, w)))
 
 
 @_memoized
@@ -302,7 +281,10 @@ def STD(w: BracketWorm) -> Certificate:
     if i < len(w.entries):
         out = _std_grounded(w, n, i)
     else:
-        out = _std_shifted(w)
+        w0, out = _shifted(w, STD)
+        assert out.conclusion.lhs == wf(w0)
+        if w != w0:
+            out = cut(_bridge_std(w, w0), out)
     assert formula_worm(out.conclusion.rhs) == n
     return out
 
@@ -340,16 +322,6 @@ def _std_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     return cut(c1, fuse)
 
 
-def _std_shifted(w: BracketWorm) -> Certificate:
-    mu = min(map(o_star, w.entries))
-    w0 = worm_iota(star(w))
-    lifted = lift_cert(mu, STD(_lowered(mu, w)))
-    assert lifted.conclusion.lhs == wf(w0)
-    if w == w0:
-        return lifted
-    return cut(_bridge_std(w, w0), lifted)
-
-
 @_memoized
 def DTS(w: BracketWorm) -> Certificate:
     """Plain certificate to_nf(w) |- w."""
@@ -360,7 +332,10 @@ def DTS(w: BracketWorm) -> Certificate:
     if i < len(w.entries):
         out = _dts_grounded(w, n, i)
     else:
-        out = _dts_shifted(w)
+        w0, out = _shifted(w, DTS)
+        assert formula_worm(out.conclusion.rhs) == w0
+        if w != w0:
+            out = cut(out, _bridge_dts(w, w0))
     assert out.conclusion.lhs == wf(n) and formula_worm(out.conclusion.rhs) == w
     return out
 
@@ -381,16 +356,6 @@ def _dts_grounded(w: BracketWorm, n: BracketWorm, i: int) -> Certificate:
     else:
         cvz = GTw(n, v)
     return derive_concat(cu, cvz)
-
-
-def _dts_shifted(w: BracketWorm) -> Certificate:
-    mu = min(map(o_star, w.entries))
-    w0 = worm_iota(star(w))
-    lifted = lift_cert(mu, DTS(_lowered(mu, w)))
-    assert formula_worm(lifted.conclusion.rhs) == w0
-    if w0 == w:
-        return lifted
-    return cut(lifted, _bridge_dts(w, w0))
 
 
 # --- certificate lifting ---------------------------------------------------------
@@ -425,7 +390,7 @@ def lift_cert(mu: Ordinal, cert: Certificate) -> Certificate:
     def go(c: Certificate) -> Certificate:
         concl = c.conclusion
         if c.rule == "RNeg5":
-            side = _strict_side(lw(concl.lhs.right.label), lw(concl.lhs.left.label))
+            side = GTw(lw(concl.lhs.left.label), lw(concl.lhs.right.label))
         elif c.side is not None:
             # both monotonicity rules order the right side's label below the left's
             side = _order_side(lw(concl.rhs.label), lw(concl.lhs.label))
@@ -463,13 +428,11 @@ def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
     c = None
     cur = a
     while True:
-        nxt = None
         for n in range(_FS_SEARCH_CAP):
-            cand = fs_bracket(cur, n)
-            if cmp(o_star(cand), ob) >= 0:
-                nxt = cand
+            nxt = fs_bracket(cur, n)
+            if cmp(o_star(nxt), ob) >= 0:
                 break
-        if nxt is None:
+        else:
             raise RuntimeError("fundamental sequence search exhausted")
         step = agtan(cur, n)
         assert formula_worm(step.conclusion.rhs.body) == nxt
@@ -484,6 +447,30 @@ def GTw(a: BracketWorm, b: BracketWorm) -> Certificate:
     if cur != b:
         c = cut(c, mono(TOP_WORM, TOP_WORM, EQw(cur, b), side_refl(TOP_WORM)))
     return c
+
+
+def derive_concat(cu: Certificate, cvz: Certificate, strict_side=GTw) -> Certificate:
+    """From X |- u and X |- vz conclude X |- u ++ vz, pushing vz inside u
+    one diamond at a time.
+
+    Requires the head v of vz to lie strictly below every entry of u;
+    strict_side(entry, v) must certify that, as GTw does by default.
+    """
+    vzf = cvz.conclusion.rhs
+    assert isinstance(vzf, Diamond)
+    v = vzf.label
+    diamonds = []
+    f = cu.conclusion.rhs
+    while isinstance(f, Diamond):
+        diamonds.append(f)
+        f = f.body
+    assert f is TOP
+    c = ax_conj_r(TOP, vzf)
+    for d in reversed(diamonds):
+        e = d.label
+        step1 = rneg5(e, d.body, v, vzf.body, strict_side(e, v))
+        c = cut(step1, mono(e, e, c, side_refl(e)))
+    return cut(conj_intro(cu, cvz), c)
 
 
 def agtan(a: BracketWorm, n: int) -> Certificate:
@@ -502,7 +489,7 @@ def agtan(a: BracketWorm, n: int) -> Certificate:
     proj = drop_suffix(a, l)
     rest_f = proj.conclusion.lhs.body
 
-    def strict_side(v: BracketWorm, u: BracketWorm) -> Certificate:
+    def strict_side(u: BracketWorm, v: BracketWorm) -> Certificate:
         assert v == a1n
         return r0 if u == a1 else GTw(u, a1n)
 
@@ -545,7 +532,7 @@ def derived_mono(sides) -> Certificate:
     begins with a top entry is read as the strict form, except that a
     reflexive side b_i |- b_i always means a_i = b_i.
     """
-    pairs = []
+    triples = []
     for s in sides:
         b = formula_worm(s.conclusion.lhs)
         if b is None:
@@ -557,11 +544,8 @@ def derived_mono(sides) -> Certificate:
             a = _slice(r, 1)
         else:
             a = r
-        pairs.append((a, b, s))
-    c = ax_id(TOP)
-    for a, b, s in reversed(pairs):
-        c = mono(b, a, c, s)
-    return c
+        triples.append((b, a, s))
+    return _monos(ax_id(TOP), triples)
 
 
 # --- conjunction normalization ----------------------------------------------------
@@ -600,7 +584,7 @@ def _merge_strict(a: BracketWorm, b: BracketWorm):
     fb = wf(b)
     m, f2, b2 = merge_worms(a_rest, b)
     c = _cons(a1, m)
-    s = _strict_side(b1, a1)
+    s = GTw(a1, b1)
     step1 = rneg5(a1, wf(a_rest), b1, wf(_slice(b, 1)), s)
     fwd = cut(step1, mono(a1, a1, f2, side_refl(a1)))
     e_l = cut(b2, ax_conj_l(wf(a_rest), fb))
@@ -614,24 +598,14 @@ def _merge_strict(a: BracketWorm, b: BracketWorm):
 
 
 def _merge_grounded(a: BracketWorm, b: BracketWorm):
-    # both worms start with a zero entry: the order-type-larger side wins
+    # both worms start with a zero entry: the order-type-larger side wins,
+    # proving the other plainly, as big |- ()small[1:] when it is strictly larger
     fa, fb = wf(a), wf(b)
-    if cmp(o_star(a), o_star(b)) >= 0:
-        big, small, fwd = a, b, ax_conj_l(fa, fb)
-        back_small = _dominate_grounded(big, small)
-        back = conj_intro(ax_id(wf(big)), back_small)
-    else:
-        big, small, fwd = b, a, ax_conj_r(fa, fb)
-        back_small = _dominate_grounded(big, small)
-        back = conj_intro(back_small, ax_id(wf(big)))
-    return big, fwd, back
-
-
-def _dominate_grounded(big: BracketWorm, small: BracketWorm) -> Certificate:
-    # plain big |- small for a zero-headed small at-or-below big
-    if cmp(o_star(big), o_star(small)) == 0:
-        return EQw(big, small)
-    return GTw(big, _slice(small, 1))
+    c = cmp(o_star(a), o_star(b))
+    if c < 0:
+        return b, ax_conj_r(fa, fb), conj_intro(GTw(b, _slice(a, 1)), ax_id(fb))
+    dom = EQw(a, b) if c == 0 else GTw(a, _slice(b, 1))
+    return a, ax_conj_l(fa, fb), conj_intro(ax_id(fa), dom)
 
 
 def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):

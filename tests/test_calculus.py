@@ -303,7 +303,7 @@ def _lift_cert_oracle(mu, cert):
                 lf(concl.lhs.left.body),
                 lw(b),
                 lf(concl.lhs.right.body),
-                p._strict_side(lw(b), lw(a)),
+                p.GTw(lw(a), lw(b)),
             )
         raise AssertionError(rule)
 
