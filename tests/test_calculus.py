@@ -848,6 +848,9 @@ def test_certificate_bytes_are_pinned():
 # SHA-256 of the texts, one a line, that _conjunction_texts makes
 _CONJUNCTION_DIGEST = "856afc78c1b55e5907295526a6b53dc799ad477a2bade2c82469d6f86e8be84c"
 
+# SHA-256 of the texts, one a line, that _nested_conjunction_texts makes
+_NESTED_CONJUNCTION_DIGEST = "b38de4bd803eae2032dc9ec761aa237f00c70e26f0a16fc2f8cb2377f146877f"
+
 # (b, a) for sides b |- a or b |- ()a: reflexive, equal order types,
 # strict, strict down to T, strict between prefixes
 _MONO_SIDES = (
@@ -880,6 +883,29 @@ def test_conjunction_certificates_are_pinned():
         count += 1
     assert count == 3 * 529 + 1
     assert digest.hexdigest() == _CONJUNCTION_DIGEST
+
+
+def _nested_conjunction_texts():
+    ws = corpus(3)
+    for a, b, c in itertools.product(ws, repeat=3):
+        inner = Conj(worm_formula(a), worm_formula(b))
+        for phi in (Conj(inner, worm_formula(c)), Diamond(c, inner)):
+            worm, fwd, back = conj_to_worm(phi)
+            yield print_worm(worm)
+            yield certificate_to_json(fwd)
+            yield certificate_to_json(back)
+
+
+def test_nested_conjunction_certificates_are_pinned():
+    # conj_to_worm on a conjunction nested inside a conjunction and inside
+    # a diamond, for every triple of small worms
+    digest = hashlib.sha256()
+    count = 0
+    for text in _nested_conjunction_texts():
+        digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 3 * 2 * 9**3
+    assert digest.hexdigest() == _NESTED_CONJUNCTION_DIGEST
 
 
 _CONSTRUCTIONS_RUN = """
