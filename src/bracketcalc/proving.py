@@ -7,6 +7,8 @@ result is trusted without being checkable.  The pieces:
     loop, _monos, that builds every chain of monotonicity steps;
   * worm combinators: suffix projection, strict tail projection, the
     conjunction merge that pushes a smaller-headed worm inside a prefix;
+    the merge reads its conjuncts off the conclusions it combines, through
+    one projection rule (_halves) and one pairing rule (_pair);
   * normal-form certificates STD / DTS between a worm and its canonical
     form, recursing through the minimum entry and lifting certificates of
     down-shifted worms back up;
@@ -555,6 +557,17 @@ def _conj_comm(x: BracketFormula, y: BracketFormula) -> Certificate:
     return conj_intro(ax_conj_r(x, y), ax_conj_l(x, y))
 
 
+def _halves(c: Certificate):
+    """X |- l and X |- r from c: X |- l & r."""
+    rhs = c.conclusion.rhs
+    return cut(c, ax_conj_l(rhs.left, rhs.right)), cut(c, ax_conj_r(rhs.left, rhs.right))
+
+
+def _pair(fl: BracketFormula, fr: BracketFormula, cl: Certificate, cr: Certificate) -> Certificate:
+    """fl & fr |- x & y from cl: fl |- x and cr: fr |- y."""
+    return conj_intro(cut(ax_conj_l(fl, fr), cl), cut(ax_conj_r(fl, fr), cr))
+
+
 def merge_worms(a: BracketWorm, b: BracketWorm):
     """A worm c with certificates Conj(a, b) |- c and c |- Conj(a, b)."""
     fa, fb = wf(a), wf(b)
@@ -578,23 +591,15 @@ def merge_worms(a: BracketWorm, b: BracketWorm):
 
 def _merge_strict(a: BracketWorm, b: BracketWorm):
     # head of a strictly dominates head of b: push b inside a one level
-    a1 = a.entries[0]
-    b1 = b.entries[0]
-    a_rest = _slice(a, 1)
-    fb = wf(b)
-    m, f2, b2 = merge_worms(a_rest, b)
-    c = _cons(a1, m)
+    a1, b1 = a.entries[0], b.entries[0]
+    m, f2, b2 = merge_worms(_slice(a, 1), b)
+    e_l, e_r = _halves(b2)
+    a_rest, b_rest = e_l.conclusion.rhs, e_r.conclusion.rhs.body
     s = GTw(a1, b1)
-    step1 = rneg5(a1, wf(a_rest), b1, wf(_slice(b, 1)), s)
-    fwd = cut(step1, mono(a1, a1, f2, side_refl(a1)))
-    e_l = cut(b2, ax_conj_l(wf(a_rest), fb))
-    e_r = cut(b2, ax_conj_r(wf(a_rest), fb))
+    fwd = cut(rneg5(a1, a_rest, b1, b_rest, s), mono(a1, a1, f2, side_refl(a1)))
     back_a = mono(a1, a1, e_l, side_refl(a1))
-    back_b = cut(
-        mono(a1, a1, e_r, side_refl(a1)),
-        mono_absorb(a1, b1, ax_id(wf(_slice(b, 1))), s),
-    )
-    return c, fwd, conj_intro(back_a, back_b)
+    back_b = cut(mono(a1, a1, e_r, side_refl(a1)), mono_absorb(a1, b1, ax_id(b_rest), s))
+    return _cons(a1, m), fwd, conj_intro(back_a, back_b)
 
 
 def _merge_grounded(a: BracketWorm, b: BracketWorm):
@@ -621,54 +626,32 @@ def _merge_level(a: BracketWorm, b: BracketWorm, alpha: Ordinal):
     b_lift = lift_cert(alpha, b_hat)
     assert f_lift.conclusion.lhs == Conj(wf(p0), wf(q0))
     assert formula_worm(f_lift.conclusion.rhs) == m
+    k, fk, bk = merge_worms(r, s)
+    assert k.entries or not (r.entries or s.entries)
+    c_worm = _concat_w(m, k)
 
+    # forwards: each prefix, bridged to its canonical form, into m
     c_p = cut(ax_conj_l(fa, fb), drop_suffix(a, ia))
     if p != p0:
         c_p = cut(c_p, _bridge_std(p, p0))
     c_q = cut(ax_conj_r(fa, fb), drop_suffix(b, ib))
     if q != q0:
         c_q = cut(c_q, _bridge_std(q, q0))
-    c_m = cut(conj_intro(c_p, c_q), f_lift)
-
-    k, fk, bk = merge_worms(r, s)
-    if not k.entries:
-        c_worm = m
-        fwd = c_m
-    else:
-        c_r = cut(ax_conj_l(fa, fb), suffix_plain(a, ia))
-        c_s = cut(ax_conj_r(fa, fb), suffix_plain(b, ib))
-        c_k = cut(conj_intro(c_r, c_s), fk)
-        c_worm = _concat_w(m, k)
-        fwd = derive_concat(c_m, c_k)
-
+    fwd = cut(conj_intro(c_p, c_q), f_lift)
     # backwards: project the merged worm onto each conjunct
-    d_m = drop_suffix(c_worm, len(m.entries))
-    d_pq = cut(d_m, b_lift)
-
-    def back_side(w, w0, proj_ax):
-        piece = cut(d_pq, proj_ax)
-        if w != w0:
-            piece = cut(piece, _bridge_dts(w, w0))
-        return piece
-
-    back_p = back_side(p, p0, ax_conj_l(wf(p0), wf(q0)))
-    back_q = back_side(q, q0, ax_conj_r(wf(p0), wf(q0)))
-    if not k.entries:
-        assert not r.entries and not s.entries
-        back_a, back_b = back_p, back_q
-    else:
-        d_k = suffix_plain(c_worm, len(m.entries))
-        d_rs = cut(d_k, bk)
-        back_a = back_p
+    back_a, back_b = _halves(cut(drop_suffix(c_worm, len(m.entries)), b_lift))
+    if p != p0:
+        back_a = cut(back_a, _bridge_dts(p, p0))
+    if q != q0:
+        back_b = cut(back_b, _bridge_dts(q, q0))
+    if k.entries:
+        fwd = derive_concat(fwd, cut(_pair(fa, fb, suffix_plain(a, ia), suffix_plain(b, ib)), fk))
+        back_r, back_s = _halves(cut(suffix_plain(c_worm, len(m.entries)), bk))
         if r.entries:
-            c_r_back = cut(d_rs, ax_conj_l(wf(r), wf(s)))
-            back_a = derive_concat(back_p, c_r_back)
-        back_b = back_q
+            back_a = derive_concat(back_a, back_r)
         if s.entries:
-            c_s_back = cut(d_rs, ax_conj_r(wf(r), wf(s)))
-            back_b = derive_concat(back_q, c_s_back)
-    back = conj_intro(back_a, back_b)
-    return c_worm, fwd, back
+            back_b = derive_concat(back_b, back_s)
+    return c_worm, fwd, conj_intro(back_a, back_b)
 
 
 @_memoized
@@ -693,18 +676,8 @@ def conj_to_worm(phi: BracketFormula):
         cx, fx, bx = conj_to_worm(phi.left)
         cy, fy, by = conj_to_worm(phi.right)
         cw, mf, mb = merge_worms(cx, cy)
-        fwd = cut(
-            conj_intro(
-                cut(ax_conj_l(phi.left, phi.right), fx),
-                cut(ax_conj_r(phi.left, phi.right), fy),
-            ),
-            mf,
-        )
-        back = conj_intro(
-            cut(cut(mb, ax_conj_l(wf(cx), wf(cy))), bx),
-            cut(cut(mb, ax_conj_r(wf(cx), wf(cy))), by),
-        )
-        return cw, fwd, back
+        ml, mr = _halves(mb)
+        return cw, cut(_pair(phi.left, phi.right, fx, fy), mf), conj_intro(cut(ml, bx), cut(mr, by))
     raise TypeError(phi)
 
 

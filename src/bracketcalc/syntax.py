@@ -389,14 +389,29 @@ def print_formula(f: BracketFormula, labels: dict | None = None) -> str:
 
 def nesting_worm(w: BracketWorm) -> int:
     """Maximum bracket nesting depth."""
-    return max((nesting_worm(e) + 1 for e in w.entries), default=0)
+    return nesting_formula(w)
 
 
 def nesting_formula(f: BracketFormula) -> int:
-    if isinstance(f, (Top, Var)):
-        return 0
-    if isinstance(f, Conj):
-        return max(nesting_formula(f.left), nesting_formula(f.right))
-    if isinstance(f, Diamond):
-        return max(nesting_worm(f.label) + 1, nesting_formula(f.body))
-    raise TypeError(f)
+    """Maximum bracket nesting depth of a formula, or of a worm.  Each
+    distinct node is measured once, after its parts, on an explicit stack:
+    shared parts cost no more time, nor deep ones the recursion limit."""
+    depth: dict = {}
+    stack = [f]
+    while stack:
+        x = stack[-1]
+        if x.__class__ is BracketWorm:
+            parts = [(e, 1) for e in x.entries]
+        elif isinstance(x, (Top, Var)):
+            parts = ()
+        elif isinstance(x, Conj):
+            parts = (x.left, 0), (x.right, 0)
+        elif isinstance(x, Diamond):
+            parts = (x.label, 1), (x.body, 0)
+        else:
+            raise TypeError(x)
+        todo = [p for p, _ in parts if p not in depth]
+        if not todo:
+            depth[stack.pop()] = max((depth[p] + d for p, d in parts), default=0)
+        stack += todo
+    return depth[f]

@@ -1,11 +1,16 @@
 """Bracket syntax: parsing, printing, nesting, and the worm enumerator."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracketcalc
 from bracketcalc import (
     TOP,
     TOP_WORM,
@@ -79,10 +84,59 @@ def test_print_examples():
     assert print_formula(Diamond(one, Var(2))) == "(())p2"
 
 
+def _nesting_oracle(x):
+    # the recursive definition of both nesting measures
+    if isinstance(x, BracketWorm):
+        return max((_nesting_oracle(e) + 1 for e in x.entries), default=0)
+    if isinstance(x, Conj):
+        return max(_nesting_oracle(x.left), _nesting_oracle(x.right))
+    if isinstance(x, Diamond):
+        return max(_nesting_oracle(x.label) + 1, _nesting_oracle(x.body))
+    return 0
+
+
+_DOUBLING_RUN = """
+from bracketcalc import TOP, TOP_WORM, BracketWorm, Conj, Diamond, nesting_formula, nesting_worm
+
+w, f = TOP_WORM, TOP
+for _ in range(64):
+    w = BracketWorm((w, w))
+    f = Conj(Diamond(w, f), Diamond(w, f))
+print(nesting_worm(w), nesting_formula(f))
+"""
+
+
+def _doubling_nestings():
+    # 64 levels that each repeat the level below: 64 distinct nodes of each
+    # kind, and 2**64 paths through them, which a walk without a memo takes
+    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DOUBLING_RUN],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
+def _chain(depth):
+    w = TOP_WORM
+    for _ in range(depth):
+        w = BracketWorm((w,))
+    return w
+
+
 def test_nesting_worm():
     assert nesting_worm(parse_worm("T")) == 0
     assert nesting_worm(parse_worm("(())")) == 2
     assert nesting_worm(parse_worm("()()")) == 1
+    for w in enumerate_worms(5):
+        assert nesting_worm(w) == _nesting_oracle(w)
+    assert sys.getrecursionlimit() < 10000
+    assert nesting_worm(_chain(10000)) == 10000
+    assert _doubling_nestings()[0] == 64
 
 
 def test_nesting_formula():
@@ -90,6 +144,19 @@ def test_nesting_formula():
     assert nesting_formula(TOP) == 0
     assert nesting_formula(parse_formula("(())p1")) == 2
     assert nesting_formula(Conj(Diamond(TOP_WORM, TOP), Var(2))) == 1
+    ws = list(enumerate_worms(5))
+    for a in ws:
+        for b in ws:
+            f = Diamond(a, Conj(Diamond(b, TOP), Var(1)))
+            assert nesting_formula(f) == _nesting_oracle(f)
+    # 20 000 formula nodes deep, the outermost label 10 000 deep
+    assert sys.getrecursionlimit() < 10000
+    f, label = TOP, TOP_WORM
+    for _ in range(10000):
+        label = BracketWorm((label,))
+        f = Conj(Var(1), Diamond(label, f))
+    assert nesting_formula(f) == 10001
+    assert _doubling_nestings()[1] == 65
 
 
 # --- round trips ----------------------------------------------------------------
