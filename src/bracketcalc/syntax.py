@@ -392,10 +392,10 @@ def nesting_worm(w: BracketWorm) -> int:
     return nesting_formula(w)
 
 
-def nesting_formula(f: BracketFormula) -> int:
-    """Maximum bracket nesting depth of a formula, or of a worm.  Each
-    distinct node is measured once, after its parts, on an explicit stack:
-    shared parts cost no more time, nor deep ones the recursion limit."""
+def nesting_formula(f: BracketFormula | BracketWorm) -> int:
+    """Maximum bracket nesting depth of a formula, or of a worm.  The walk
+    keeps the depth of each distinct node and runs on an explicit stack, so
+    shared parts are not walked again and depth is not bounded by recursion."""
     depth: dict = {}
     stack = [f]
     while stack:
@@ -410,7 +410,7 @@ def nesting_formula(f: BracketFormula) -> int:
             parts = (x.label, 1), (x.body, 0)
         else:
             raise TypeError(x)
-        todo = [p for p, _ in parts if p not in depth]
+        todo = dict.fromkeys(p for p, _ in parts if p not in depth)
         if not todo:
             depth[stack.pop()] = max((depth[p] + d for p, d in parts), default=0)
         stack += todo
