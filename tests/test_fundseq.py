@@ -1,6 +1,7 @@
 """Fundamental sequences, step-down traces, and the growth witnesses."""
 
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -43,7 +44,7 @@ from bracketcalc import (
     veblen_iter,
     xhat,
 )
-from bracketcalc._compact import CompactRunner, to_bracket
+from bracketcalc._compact import CompactRunner, _size, to_bracket
 from bracketcalc.cli import main
 from corpus import corpus, corpus_ordinals
 
@@ -500,6 +501,62 @@ def test_G_witness_small():
     assert G_witness(0, 10) == Found(0)
     assert G_witness(1, 10) == Found(1)
     assert G_witness(1, 1) == BudgetExhausted(1)
+
+
+_NESTED_STARTS = ("(((())))", "((()()))", "(((()))())", "((())(()))")
+
+# SHA-256 of the texts, one a line, that _descent_texts makes
+_DESCENT_DIGEST = "cf1918e2c0040a61a241c5e2a965b92230706f0a39c05e36f677ee9198615dd7"
+
+
+def _descent_texts():
+    for m in (0, 1, 2):
+        for budget in (*range(200), 1000, 5000, 20000):
+            yield repr(G_witness(m, budget))
+    for budget in range(30):
+        yield repr(G_witness(3, budget))
+    # budget 200 runs only the CLI's windows: ((()()())) alone takes 6 s of
+    # CPU at the four windows
+    for a in corpus(5):
+        if nesting_worm(a) <= 3:
+            for budget, windows in ((0, 4), (1, 4), (7, 4), (40, 4), (200, 2)):
+                for window in (0, 1, 8, 64)[-windows:]:
+                    yield step_iter(a, budget, window).to_json()
+    for text in _NESTED_STARTS:
+        for budget in (20, 40, 60):
+            for window in (0, 1, 8, 64):
+                yield step_iter(W(text), budget, window).to_json()
+
+
+def test_descent_outputs_are_pinned():
+    # G_witness verdicts and step_iter traces, windows included, over small
+    # and nested starts; a change to when a descent stops or what it keeps
+    # changes some line here
+    digest = hashlib.sha256()
+    count = 0
+    for text in _descent_texts():
+        digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 3 * 203 + 30 + 56 * 18 + 48
+    assert digest.hexdigest() == _DESCENT_DIGEST
+
+
+def test_step_iter_agrees_with_an_uncut_run():
+    # an uncut runner at the budget gives the step count and termination;
+    # a final worm above the dense limit leaves the tail empty, since the
+    # tail walk starts from it
+    starts = [(a, budget) for a in corpus(5) if nesting_worm(a) <= 3 for budget in (7, 40, 100)]
+    starts += [(W(text), 60) for text in _NESTED_STARTS]
+    dense = 0
+    for a, budget in starts:
+        runner = CompactRunner(a)
+        runner.run(budget)
+        tr = step_iter(a, budget, 8)
+        assert (tr.steps_used, tr.terminated) == (runner.steps, runner.finished), print_worm(a)
+        if _size(runner.as_cw(), DENSE_LIMIT) > DENSE_LIMIT:
+            assert tr.tail == (), (print_worm(a), budget)
+            dense += 1
+    assert dense >= 10, dense
 
 
 def test_G_witness_steps_a_deep_head_without_recursion():
