@@ -21,8 +21,8 @@ _FANOUT items with its least entry order type recorded, and a step whose
 head is a least entry of the leading box takes the rest of that box into
 the new prefix without scanning it (see the stepping notes below).  So the
 step rate stays flat, over four hundred thousand per second on a 2-core
-VM (G_witness(2, 10**6) takes 2.2-2.5 s of CPU time, a third of its steps
-deleting a top entry in the advance that made it), as long as entry
+VM (stepping G2 10**6 times takes 2.0-2.5 s of CPU time, a third of its
+steps deleting a top entry in the advance that made it), as long as entry
 order types remain short sums (runs of top entries, principal values).
 Deeply nested starting worms grow entries whose order types are sums with
 one summand per elapsed step, and stepping slows to the cost of that
@@ -36,15 +36,20 @@ first k - 1 one step on: the head is the same, and so is the first entry
 below it when that lies within k, else both prefixes cover those k
 entries.  After s of B steps, then, only the first B - s + 1 entries can
 still become a head or decide termination.  CompactRunner.descend is the
-one place this horizon lives: each time the step count passes a multiple
-of _FANOUT it cuts the state to that front (CompactRunner.cut), while
-run(), step() and length stay exact.  A cut state is exact only in its
+one place this horizon lives: at each of the first _FANOUT steps, then
+whenever the count passes a multiple of _FANOUT, it cuts the state to
+that front (CompactRunner.cut), while run(), step() and length stay
+exact.  A cut state is exact only in its
 first keep - t entries t steps later: past them it holds wrongly copied
 entries, not just missing ones.
 So a caller that needs more of the worm exact up to the last step asks
 descend for them: G_witness asks for none, and step_iter for
 _DENSE_LIMIT, since its tail worms must be told apart from longer ones.
 The memory of a budgeted descent stays bounded whatever the budget.
+A cut that the state fills ends the descent: those entries are exact and
+a step deletes at most one, so more than the extra ones outlast the
+budget, and top is out of reach.  Deep starts outgrow runnable budgets
+in a few steps, each dearer than the last, hence the early cuts.
 """
 
 from __future__ import annotations
@@ -617,9 +622,10 @@ class CompactRunner:
                 self.steps += more
         return self.steps - n + 1
 
-    def cut(self, keep: int) -> None:
+    def cut(self, keep: int) -> bool:
         """Truncate the state to its first `keep` entries: the active items,
-        then the cold segments nearest first; segments past the cut go."""
+        then the cold segments nearest first; segments past the cut go.
+        True when the state held at least `keep` entries."""
         self.active, keep = _front(self.active, keep)
         cold = self.cold
         i = len(cold)
@@ -629,6 +635,7 @@ class CompactRunner:
             ((_r, seg, _k),), keep = _front(((False, seg, 1),), keep)
             cold[i] = (seg, weight)
         del cold[:i]
+        return not keep
 
     def run(self, budget: int) -> bool:
         """Advance until top or until `budget` total steps, with the top
@@ -640,15 +647,17 @@ class CompactRunner:
     def descend(self, budget: int, exact: int = 0):
         """Advance as run() does, yielding each advance's step count, which
         counts the top entries it deleted after its first step (a stepped
-        top entry, a run of them); each time the step count passes a
-        multiple of _FANOUT, cut the state to the entries the steps left can
-        reach, plus `exact` more (the budget horizon)."""
+        top entry, a run of them); at each of the first _FANOUT steps, then
+        each time the step count passes a multiple of _FANOUT, cut the state
+        to the entries the steps left can reach, plus `exact` more (the
+        budget horizon), and stop when the state fills the cut."""
         # self.finished inlined: its call would cost more than the limit
         while (self.active or self.cold) and self.steps < budget:
             k = self.step(budget - self.steps)
             yield k
-            if self.steps % _FANOUT < k:
-                self.cut(budget - self.steps + 1 + exact)
+            if self.steps < _FANOUT or self.steps % _FANOUT < k:
+                if self.cut(budget - self.steps + 1 + exact):
+                    return
 
 
 def _entry_step(h: CW, n: int) -> tuple:

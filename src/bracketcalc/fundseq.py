@@ -141,6 +141,8 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
     materialized newest first, a state becoming a compact worm only when
     that walk reaches it; the walk stops at the first worm above
     _DENSE_LIMIT entries, so older records are dropped as the run goes.
+    The engine stops early once the worm at the budget must exceed
+    _DENSE_LIMIT entries: every step then counts as used, the tail empty.
     """
     if budget < 0 or window < 0:
         raise ValueError("budget and window must be >= 0")
@@ -179,7 +181,9 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
                     recent.clear()
             recent.append((tuple(runner.active), tuple(runner.cold), k))
         terminated = runner.finished
-        steps = runner.steps
+        steps = runner.steps if terminated else budget
+        if runner.steps < steps:
+            recent.clear()  # stopped early: the worm at the budget is too long
         # the tail is the contiguous run of small worms that ends the trace
         states = (
             snapshot_cw(active, cold, tops)
@@ -297,7 +301,8 @@ def a_seq(n: int) -> BracketWorm:
 
 
 def G_witness(m: int, budget: int):
-    """Least k with the primed worm reaching top after k+1 steps."""
+    """Least k with the primed worm reaching top after k+1 steps; the engine
+    often finds the budget exhausted long before stepping to it (_compact)."""
     from ._compact import CompactRunner
 
     if budget < 0:
@@ -307,4 +312,4 @@ def G_witness(m: int, budget: int):
         pass
     if runner.finished:
         return Found(runner.steps - 1)
-    return BudgetExhausted(runner.steps)
+    return BudgetExhausted(budget)

@@ -208,8 +208,9 @@ def test_check_reads_missing_or_null_links_as_none(capsys, monkeypatch, links):
         ("ord", "(" * 400 + ")" * 400),
         # parses, then o_star recurses once per level
         ("nf", "(" * 400 + ")" * 400),
-        # the third step folds an order type once per nesting level
-        ("growth", "G", "600", "--budget", "3"),
+        # the third step folds an order type once per nesting level; the
+        # worm outlasts budgets up to 4 before it
+        ("growth", "G", "600", "--budget", "5"),
         # nests 3 deep, but lift_cert lifts a formula once per diamond,
         # by recursion
         ("prove", "le", "((()))" + "(())" * 1500, "((()))"),
@@ -332,6 +333,17 @@ def test_deep_growth_start_builds_without_recursion(capsys):
             3,
             "BudgetExhausted %s\n" % budget,
         )
+
+
+@pytest.mark.parametrize("budget", ["3", "4"])
+def test_deep_growth_outlasting_the_budget_exhausts_it(capsys, budget):
+    # after two steps a(600)'s worm holds more entries than the steps left
+    # can delete, so the descent ends before the third step's fold, which
+    # exceeds the recursion limit
+    assert invoke(capsys, "growth", "G", "600", "--budget", budget)[:2] == (
+        3,
+        "BudgetExhausted %s\n" % budget,
+    )
 
 
 def test_check_unreadable_file(capsys, tmp_path):

@@ -42,6 +42,7 @@ from bracketcalc._compact import (
     to_bracket,
 )
 from corpus import corpus, corpus_ordinals
+from full_descent import full_descent, primed
 
 W = parse_worm
 
@@ -84,6 +85,8 @@ def test_repeats_holding_a_zero_fold_in_closed_form(monkeypatch):
 def test_order_type_folds_stay_within_their_run_over_counts(monkeypatch):
     # _fold_items folds each item through the module global _fold_item, so
     # the counter sees every item fold.  Measured: 22 443 and 6 017 calls
+    # over the runner's work in step_iter("(((())))", 100, 8) and
+    # G_witness(3, 22) when they stepped to the budget
     calls = 0
     fold_item = _compact._fold_item
 
@@ -93,10 +96,10 @@ def test_order_type_folds_stay_within_their_run_over_counts(monkeypatch):
         return fold_item(it, val, mu)
 
     monkeypatch.setattr(_compact, "_fold_item", counted)
-    step_iter(W("(((())))"), 100, 8)
+    full_descent(W("(((())))"), 100, fundseq._DENSE_LIMIT, replay=8)
     assert calls <= 25_000
     calls = 0
-    G_witness(3, 22)
+    full_descent(primed(3), 22)
     assert calls <= 7_000
 
 
@@ -115,7 +118,7 @@ def test_runner_builds_few_compact_worms(monkeypatch):
         init(self, items)
 
     monkeypatch.setattr(CW, "__init__", counted)
-    G_witness(2, 2 * 10**4)
+    full_descent(primed(2), 2 * 10**4)
     assert built <= 15_000
 
 
@@ -132,7 +135,7 @@ def test_runner_sends_only_overflow_to_the_cold_stack(monkeypatch):
         push(self, items)
 
     monkeypatch.setattr(CompactRunner, "_push_cold", counted)
-    G_witness(2, 2 * 10**4)
+    full_descent(primed(2), 2 * 10**4)
     assert pushed <= 100
 
 
@@ -150,7 +153,7 @@ def test_runner_compares_few_ordinals(monkeypatch):
         return cmp(x, y)
 
     monkeypatch.setattr(_compact, "cmp", counted)
-    G_witness(2, 10**5)
+    full_descent(primed(2), 10**5)
     assert calls <= 70_000
 
 
@@ -175,7 +178,7 @@ def test_runner_deletes_a_run_of_top_entries_in_one_advance(monkeypatch):
     # deletes the top entry the step before made: 20 000 advances while that
     # took an advance of its own, 13 337 since it does not
     calls = 0
-    G_witness(2, 2 * 10**4)
+    full_descent(primed(2), 2 * 10**4)
     assert calls <= 14_000
 
 
@@ -323,7 +326,7 @@ def test_batched_run_agrees_with_single_steps():
     # stop where as many single steps do, also at the budgets that end
     # inside such a run or between such a step and its deletion
     starts = [(w, 150) for w in corpus(4)]
-    starts += [(W("(()())(())"), 320), (W("()()(()())"), 220), (_g2_start(), 120)]
+    starts += [(W("(()())(())"), 320), (W("()()(()())"), 220), (primed(2), 120)]
     checked = inside = made = 0
     for w, budget in starts:
         single = CompactRunner(w)
@@ -344,10 +347,6 @@ def test_batched_run_agrees_with_single_steps():
         inside += len(tops)
         made += len(fused)
     assert checked > 1300 and (inside, made) == (761, 412), (checked, inside, made)
-
-
-def _g2_start():
-    return BracketWorm((TOP_WORM,) + a_seq(2).entries)
 
 
 @pytest.fixture
@@ -372,7 +371,7 @@ def item_lists(monkeypatch):
 def test_long_run_stays_compact(item_lists):
     # a prefix of the million-step run: lengths explode, and every item
     # list a step builds or scans stays within twice the box fan-out
-    r = CompactRunner(_g2_start())
+    r = CompactRunner(primed(2))
     r.run(30000)
     assert not r.finished
     assert r.steps == 30000
@@ -409,8 +408,10 @@ def test_fanout_sweep_has_no_cliff(monkeypatch, item_lists):
     for fanout in (4, 8, 16, 32, 64, 128):
         monkeypatch.setattr(_compact, "_FANOUT", fanout)
         item_lists.clear()
+        g2 = full_descent(primed(2), 2 * 10**4)
         got = (
             G_witness(2, 2 * 10**4),
+            (g2.steps, g2.finished),
             [step_iter(w, 2000) for w in worms],
             _chain_run(600),
         )
@@ -491,7 +492,7 @@ def test_size_check_stops_early():
             assert _size(cw, limit) == min(n, limit + 1)
         assert cw._length == n == len(to_bracket(cw, limit=10**6).entries)
     # a long run's state is decided without its exact length
-    runner = CompactRunner(_g2_start())
+    runner = CompactRunner(primed(2))
     runner.run(3000)
     cw = runner.as_cw()
     assert to_bracket(cw, limit=4096) is None
@@ -583,8 +584,8 @@ def _cut_run(start, budget: int, every: int):
 def test_cut_runs_agree_with_the_uncut_runner():
     # the first entries after every cut, along a long G2 descent
     budget = 3 * 10**4
-    ref = CompactRunner(_g2_start())
-    cutting = {1: CompactRunner(_g2_start()), 100: CompactRunner(_g2_start())}
+    ref = CompactRunner(primed(2))
+    cutting = {1: CompactRunner(primed(2)), 100: CompactRunner(primed(2))}
     checked = 0
     while ref.steps < budget:
         ref.step()
@@ -667,7 +668,7 @@ def test_runner_builds_only_live_items():
     shallow = [w for w in corpus(5) if w.entries and _depth(w) <= 2]
     assert len(shallow) == 31
     starts = [(w, 300) for w in shallow]
-    starts.append((BracketWorm((TOP_WORM,) + a_seq(3).entries), 22))
+    starts.append((primed(3), 22))
     checked = 0
     for start, steps in starts:
         runner = CompactRunner(start)
@@ -679,15 +680,16 @@ def test_runner_builds_only_live_items():
 
 def test_budgeted_descents_run_in_bounded_memory():
     # the traced heap peak of a budgeted descent stays under one bound at
-    # any budget; without the horizon G_witness(2, 10**5) peaks near 25 MB
-    # and the step_iter run near 33 MB, growing with the budget
+    # any budget; without the horizon a G2 descent of 10**5 steps peaks
+    # near 25 MB and the step_iter run near 33 MB, growing with the budget
     code = """if True:
         import sys, tracemalloc
-        from bracketcalc import BudgetExhausted, G_witness, parse_worm, step_iter
+        from bracketcalc import parse_worm, step_iter
+        from full_descent import full_descent, primed
 
         worm = parse_worm("(()()()())")
         runs = {
-            "G": lambda budget: G_witness(2, budget) == BudgetExhausted(budget),
+            "G": lambda budget: full_descent(primed(2), budget).steps == budget,
             "step": lambda budget: step_iter(worm, budget, 8).steps_used == budget,
         }
         runs["G"](100), runs["step"](100)  # import the engine
@@ -698,7 +700,6 @@ def test_budgeted_descents_run_in_bounded_memory():
             print(job, tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
     """
-    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
     # two processes, so that the long traced run overlaps the others
     procs = [
         subprocess.Popen(
@@ -706,7 +707,7 @@ def test_budgeted_descents_run_in_bounded_memory():
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=_CHILD_ENV,
         )
         for jobs in (["G:400000"], ["G:100000", "step:10000", "step:100000"])
     ]
@@ -720,6 +721,11 @@ def test_budgeted_descents_run_in_bounded_memory():
         assert int(peak) < 1 << 20, (job, peak)
 
 
+# child processes import the package and the test helpers
+_CHILD_PATH = (Path(bracketcalc.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, _CHILD_PATH)))
+
+
 def _child_peak_rss_mb(run: str) -> float:
     """The peak RSS of a process running `run`.  A process's ru_maxrss
     starts at the peak of the process it was forked from, so a small
@@ -731,25 +737,58 @@ def _child_peak_rss_mb(run: str) -> float:
         peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         print(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
     """
-    src = str(Path(bracketcalc.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", code, run],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     return float(proc.stdout)
 
 
 def test_million_step_witness_peak_rss():
-    # the budget horizon keeps the whole process small at 10**6 steps;
-    # without it the peak was 282 MB
+    # the budget horizon keeps the whole process small over a G2 descent
+    # of 10**6 steps; without it the peak was 282 MB.  G_witness decides
+    # that budget within a few dozen steps, so the full descent is run too
     run = (
         "from bracketcalc import BudgetExhausted, G_witness; "
+        "from full_descent import full_descent, primed; "
+        "r = full_descent(primed(2), 10**6); "
+        "assert (r.steps, r.finished) == (10**6, False); "
         "assert G_witness(2, 10**6) == BudgetExhausted(10**6)"
     )
     assert _child_peak_rss_mb(run) <= 40
+
+
+def test_deep_witness_is_decided_before_the_budget():
+    # no G4 descent reaches top within 10**6 steps, and the worm says so
+    # after a few: stepping to the budget had not finished in 10 minutes
+    code = """if True:
+        import resource
+        resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+        from bracketcalc import BudgetExhausted, G_witness
+        assert G_witness(4, 10**6) == BudgetExhausted(10**6)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_witness_stops_once_the_worm_outlasts_the_budget(monkeypatch):
+    # a step shortens a worm by at most one entry, so a G2 worm longer than
+    # the steps left ends the descent: 13 advances here, 13 337 when every
+    # step to the budget ran
+    calls = 0
+    step = CompactRunner.step
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(CompactRunner, "step", counted)
+    assert G_witness(2, 2 * 10**4) == BudgetExhausted(2 * 10**4)
+    assert calls <= 20
 
 
 def test_wide_step_window_peak_rss():
