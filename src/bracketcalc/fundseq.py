@@ -181,9 +181,9 @@ def step_iter(a: BracketWorm, budget: int, window: int = 64) -> Trace:
                     recent.clear()
             recent.append((tuple(runner.active), tuple(runner.cold), k))
         terminated = runner.finished
+        # a descent that stopped early used every step, and the state it
+        # recorded last fills the cut, so the tail walk stops at it
         steps = runner.steps if terminated else budget
-        if runner.steps < steps:
-            recent.clear()  # stopped early: the worm at the budget is too long
         # the tail is the contiguous run of small worms that ends the trace
         states = (
             snapshot_cw(active, cold, tops)
