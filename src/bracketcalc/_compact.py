@@ -39,17 +39,16 @@ still become a head or decide termination.  CompactRunner.descend is the
 one place this horizon lives: at each of the first _FANOUT steps, then
 whenever the count passes a multiple of _FANOUT, it cuts the state to
 that front (CompactRunner.cut), while run(), step() and length stay
-exact.  A cut state is exact only in its
-first keep - t entries t steps later: past them it holds wrongly copied
-entries, not just missing ones.
+exact.  A cut state is exact only in its first keep - t entries t steps
+later: past them it holds wrongly copied entries, not just missing ones.
 So a caller that needs more of the worm exact up to the last step asks
 descend for them: G_witness asks for none, and step_iter for
 _DENSE_LIMIT, since its tail worms must be told apart from longer ones.
 The memory of a budgeted descent stays bounded whatever the budget.
 A cut that the state fills ends the descent: those entries are exact and
-a step deletes at most one, so more than the extra ones outlast the
-budget, and top is out of reach.  Deep starts outgrow runnable budgets
-in a few steps, each dearer than the last, hence the early cuts.
+a step deletes at most one, so more than the `exact` extra ones survive
+to the budget, and top is out of reach.  Deep starts outgrow runnable
+budgets in a few steps, each dearer than the last, hence the early cuts.
 """
 
 from __future__ import annotations
